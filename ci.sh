@@ -38,14 +38,6 @@ cargo test -q -p evolve-core --test delta_conformance --offline
 # explicit so a telemetry regression is named in the CI log).
 cargo test -q -p evolve-core --test observer_conformance --offline
 
-# Partition conformance: the intra-graph partitioned sweep — both barrier
-# and optimistic exchange modes, including forced-speculation rollbacks,
-# fast-forward and delta composition, and the threads=1 degenerate — must
-# stay bitwise identical to the serial compiled sweep (also part of the
-# workspace run above; kept explicit so a partition regression is named
-# in the CI log).
-cargo test -q -p evolve-core --test partition_conformance --offline
-
 # Bench smoke: the compiled backend must beat the worklist reference, the
 # batched engine must beat one-lane evaluation, periodic fast-forward
 # must beat the plain sweep on a 1000-node synthetic graph, and delta
@@ -60,10 +52,7 @@ cargo test -q -p evolve-core --test partition_conformance --offline
 # batching gain must stay within EVOLVE_BATCH_TOLERANCE (default 10%) of
 # the committed grid's gain (ratios measured within one run, so uniform
 # host wall-clock drift cancels), and a width-8 batch must dispatch to
-# the lane-chunked fold kernels. The quick run also smokes the partition
-# grid: a 2-worker partitioned sweep must match the serial checksum and
-# roll back under forced speculation (the speed gate applies only on
-# multi-core hosts — partition workers on one core merely take turns).
+# the lane-chunked fold kernels.
 cargo run --release -q -p evolve-bench --bin fig5 --offline -- --quick
 
 # Daemon smoke: boot the real `evolved` binary on a loopback unix socket
@@ -74,7 +63,9 @@ cargo run --release -q -p evolve-bench --bin fig5 --offline -- --quick
 # against an absolute baseline), request a flight-recorder Dump (the
 # bench asserts the trace parses as JSON with at least one span per
 # lifecycle phase before writing it), then SIGTERM the daemon and
-# require a clean drain to exit 0.
+# require a clean drain to exit 0. Both binaries are built first, in the
+# foreground: a cold build outlasts the state-file wait below.
+cargo build --release --offline -p evolve-serve -p evolve-bench
 serve_dir="$(mktemp -d)"
 trap 'kill "${serve_pid:-}" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
 cargo run --release -q -p evolve-serve --bin evolved --offline -- \

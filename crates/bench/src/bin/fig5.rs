@@ -15,13 +15,9 @@
 //! compiled CSR sweep) directly — per-iteration `ComputeInstant()` cost at
 //! 10/100/1000/5000 nodes — a third measures the periodic
 //! steady-state fast-forward (O(1) template replay vs the full sweep), and
-//! a fourth measures delta evaluation against a captured sibling cache,
-//! and a fifth measures the intra-graph partitioned sweep (barrier and
-//! optimistic exchange modes) against the serial compiled sweep on wide
-//! padded graphs up to 200 000 nodes; all are written to
-//! `results/bench_engine.json`. Partition rows publish within-run ratios
-//! (serial and partitioned cost measured seconds apart in one process)
-//! because absolute nanoseconds drift with host load.
+//! and a fourth measures delta evaluation against a captured sibling
+//! cache; all are written to `results/bench_engine.json`, stamped with
+//! the host (cores, SIMD level, build profile).
 //!
 //! Usage: `fig5 [tokens] [dispatch_cost_ns] [threads] [--quick]
 //! [--metrics PATH] [--trace PATH]`
@@ -32,10 +28,7 @@
 //! fast-forward > sweep, delta > full, that a delta-chained sweep over the
 //! default 256-scenario grid is bitwise identical to the full compiled
 //! path, that a width-8 batch actually dispatches to the lane-chunked
-//! fold kernels, that a 2-worker partitioned sweep matches the serial
-//! checksum and rolls back under forced speculation (and beats serial
-//! where the host has >= 2 cores), that the detached-observer
-//! compiled/worklist cost ratio
+//! fold kernels, that the detached-observer compiled/worklist cost ratio
 //! stays within `EVOLVE_OVERHEAD_TOLERANCE` — default 10% — of the
 //! committed `results/bench_engine.json` baseline's ratio, and that the
 //! width-8 batching gain stays within `EVOLVE_BATCH_TOLERANCE` — default
@@ -48,9 +41,8 @@
 use std::path::PathBuf;
 
 use evolve_bench::{
-    backend_grid, batch_grid, delta_grid, ff_grid, format_row, header, partition_grid,
-    sweep_measurements, total_engine_stats, write_backend_report, BackendPoint, BatchPoint,
-    DeltaPoint, FfPoint, PartitionPoint,
+    backend_grid, batch_grid, delta_grid, ff_grid, format_row, header, sweep_measurements,
+    total_engine_stats, write_backend_report, BackendPoint, BatchPoint, DeltaPoint, FfPoint,
 };
 use evolve_core::{derive_tdg, synthetic};
 use evolve_explore::{
@@ -124,41 +116,6 @@ fn ff_section(targets: &[usize], budget: u64, reps: usize) -> Vec<FfPoint> {
     points
 }
 
-/// Partitioned level-parallel sweep against the serial compiled sweep on
-/// wide padded graphs; both exchange-mode columns are within-run ratios
-/// against the serial baseline measured in the same process, and every
-/// partitioned run (including a forced-speculation rollback probe) is
-/// bitwise-checked against the serial checksum inside the grid itself.
-fn partition_section(
-    targets: &[usize],
-    thread_counts: &[usize],
-    budget: u64,
-    reps: usize,
-) -> Vec<PartitionPoint> {
-    println!("== partitioned sweep: intra-graph workers vs serial compiled ==");
-    println!(
-        "{:>7} {:>4} {:>12} {:>13} {:>13} {:>13} {:>8} {:>8} {:>9}",
-        "nodes", "P", "iterations", "serial ns/it", "barrier ns/it", "optim ns/it", "b gain",
-        "o gain", "rollbacks"
-    );
-    let points = partition_grid(targets, thread_counts, budget, reps);
-    for p in &points {
-        println!(
-            "{:>7} {:>4} {:>12} {:>13.1} {:>13.1} {:>13.1} {:>8.2} {:>8.2} {:>9}",
-            p.nodes,
-            p.threads,
-            p.iterations,
-            p.serial_ns,
-            p.barrier_ns,
-            p.optimistic_ns,
-            p.barrier_speedup(),
-            p.optimistic_speedup(),
-            p.forced_rollbacks,
-        );
-    }
-    points
-}
-
 /// Full-evaluation cost against a sibling diffing the captured base cache;
 /// the `gain` column is full over delta cost per iteration (> 1 means
 /// delta evaluation pays).
@@ -226,18 +183,10 @@ fn write_report(
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
     delta_points: &[DeltaPoint],
-    partition_points: &[PartitionPoint],
 ) {
     let path = std::path::Path::new(out);
-    write_backend_report(
-        path,
-        points,
-        batch_points,
-        ff_points,
-        delta_points,
-        partition_points,
-    )
-    .expect("backend report written");
+    write_backend_report(path, points, batch_points, ff_points, delta_points)
+        .expect("backend report written");
     println!("engine grids written to {}", path.display());
 }
 
@@ -531,43 +480,12 @@ fn main() {
             d.compiled_ns
         );
         delta_sweep_gate(256, tokens.min(200), threads);
-        // Partition smoke: conformance and the forced-rollback probe are
-        // asserted inside the grid; the speed gate only applies where the
-        // host can actually run two workers at once.
-        let partition_points = partition_section(&[5_000], &[1, 2], 500_000, 2);
-        let pp = partition_points
-            .iter()
-            .find(|p| p.threads == 2)
-            .expect("2-worker partition point");
-        assert!(
-            pp.forced_rollbacks > 0,
-            "forced speculation observed no rollbacks at {} nodes",
-            pp.nodes
-        );
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores >= 2 {
-            assert!(
-                pp.barrier_speedup() > 1.0,
-                "2-worker barrier sweep slower than serial on a {cores}-core host \
-                 ({:.1} vs {:.1} ns/it at {} nodes)",
-                pp.barrier_ns,
-                pp.serial_ns,
-                pp.nodes
-            );
-        } else {
-            println!(
-                "partition speed gate skipped: single-core host \
-                 (2-worker ratio {:.2}x, conformance still asserted)",
-                pp.barrier_speedup()
-            );
-        }
         write_report(
             "results/bench_engine_smoke.json",
             &points,
             &batch_points,
             &ff_points,
             &delta_points,
-            &partition_points,
         );
         println!(
             "quick mode: compiled backend {:.2}x, batch width 8 {:.2}x, fast-forward {:.2}x, delta {:.2}x at {} nodes — ok",
@@ -689,10 +607,6 @@ fn main() {
     let delta_points = delta_section(&[10, 100, 1_000, 5_000], 2_000_000, 3);
     println!();
 
-    // The partitioned-sweep grid: intra-graph level-parallel workers on
-    // wide padded graphs, up to the 200 000-node point where one sweep
-    // has enough per-level work to amortize the exchange cost.
-    let partition_points = partition_section(&[5_000, 50_000, 200_000], &[1, 2, 4, 8], 4_000_000, 2);
     delta_sweep_gate(256, tokens.min(200), threads);
     write_report(
         "results/bench_engine.json",
@@ -700,7 +614,6 @@ fn main() {
         &batch_points,
         &ff_points,
         &delta_points,
-        &partition_points,
     );
     write_telemetry(metrics.as_ref(), trace.as_ref(), Some(&report), tokens.min(500));
 }

@@ -23,8 +23,8 @@
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    derive_tdg, simplify, synthetic, BatchedEngine, Engine, EngineStats, EquivalentModelBuilder,
-    EvalBackend, FastForward, ParallelConfig, PartitionMode,
+    derive_tdg, kernel, simplify, synthetic, BatchedEngine, Engine, EngineStats,
+    EquivalentModelBuilder, EvalBackend, FastForward,
 };
 use evolve_des::Time;
 use evolve_explore::{Json, SweepReport};
@@ -580,192 +580,6 @@ pub fn delta_grid(targets: &[usize], budget: u64, reps: usize) -> Vec<DeltaPoint
         .collect()
 }
 
-/// One point of the intra-graph partition grid: per-iteration cost of the
-/// compiled sweep at a given graph size and partition worker count, in
-/// both exchange modes, against the serial sweep measured in the same
-/// process seconds earlier (`threads == 1` repeats the serial cost so
-/// every row carries its own within-run baseline — absolute nanoseconds
-/// drift with host load, ratios do not).
-#[derive(Clone, Debug)]
-pub struct PartitionPoint {
-    /// Node count of the evaluated graph (wide pipeline + chained padding).
-    pub nodes: usize,
-    /// Partition workers sweeping each level (1 = serial sweep).
-    pub threads: usize,
-    /// Iterations driven per timed repetition.
-    pub iterations: u64,
-    /// Best-of-reps per-iteration cost of the serial compiled sweep (ns),
-    /// measured in this run.
-    pub serial_ns: f64,
-    /// Best-of-reps per-iteration cost in barrier exchange mode (ns).
-    pub barrier_ns: f64,
-    /// Best-of-reps per-iteration cost in optimistic exchange mode (ns).
-    pub optimistic_ns: f64,
-    /// Partitions in the compiled plan (from the final barrier run).
-    pub partitions: u64,
-    /// Level boundaries the plan protects with a barrier.
-    pub planned_barriers: u64,
-    /// Cross-partition zero-delay arcs exchanged at level boundaries.
-    pub frontier_arcs: u64,
-    /// Rollbacks observed by the forced-speculation conformance pass (the
-    /// pass itself is untimed; its checksum must match the serial run).
-    pub forced_rollbacks: u64,
-}
-
-impl PartitionPoint {
-    /// Serial-over-barrier per-iteration cost ratio (> 1 means the
-    /// partitioned barrier sweep is cheaper), within-run.
-    pub fn barrier_speedup(&self) -> f64 {
-        self.serial_ns / self.barrier_ns.max(1e-12)
-    }
-
-    /// Serial-over-optimistic per-iteration cost ratio, within-run.
-    pub fn optimistic_speedup(&self) -> f64 {
-        self.serial_ns / self.optimistic_ns.max(1e-12)
-    }
-}
-
-/// Measures the intra-graph partitioned sweep at each target node count
-/// and worker count, on *wide* padded pipelines ([`synthetic::pad_wide`]
-/// with one chain per padding lane, so every level offers slots to every
-/// partition — the shape the partitioner exists for).
-///
-/// Three configurations run per point: the serial compiled sweep (the
-/// within-run baseline), the barrier exchange mode, and the optimistic
-/// exchange mode; all three output-instant checksums must agree. A fourth
-/// forced-speculation pass (optimistic mode speculating on every boundary
-/// read) runs untimed as a rollback conformance probe: its checksum must
-/// also match, and on multi-partition plans with frontier arcs it must
-/// actually roll back.
-///
-/// # Panics
-///
-/// Panics if `reps == 0`, a pipeline fails to derive, or any partitioned
-/// checksum diverges from the serial sweep.
-pub fn partition_grid(
-    targets: &[usize],
-    thread_counts: &[usize],
-    budget: u64,
-    reps: usize,
-) -> Vec<PartitionPoint> {
-    assert!(reps > 0, "at least one repetition required");
-    let mut out = Vec::new();
-    for &target in targets {
-        let p = synthetic::pipeline(3, 200, 2).expect("pipeline builds");
-        let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
-        let padding = target.saturating_sub(derived.tdg().node_count());
-        // One chain per 64 padding nodes, capped: wide levels with enough
-        // depth that the per-level barrier cost amortizes.
-        let chains = (padding / 64).clamp(1, 64);
-        if padding > 0 {
-            derived.map_tdg(|tdg| synthetic::pad_wide(tdg, padding, chains));
-        }
-        let nodes = derived.tdg().node_count();
-        let relations = p.arch.app().relations().len();
-        let iterations = (budget / nodes.max(1) as u64).clamp(100, 50_000);
-
-        let cfg = |threads: usize, mode: PartitionMode, forced: bool| ParallelConfig {
-            threads,
-            mode,
-            min_nodes: 0,
-            force_speculation: forced,
-            pin: false,
-        };
-        let mut engine =
-            Engine::with_backend(derived.clone(), relations, false, EvalBackend::Compiled);
-        let mut serial_ns = f64::INFINITY;
-        let mut serial_checksum = 0u64;
-        for rep in 0..reps {
-            if rep > 0 {
-                engine.reset();
-            }
-            let (wall, checksum) = drive_iterations(&mut engine, iterations);
-            serial_checksum = checksum;
-            serial_ns = serial_ns.min(wall.as_secs_f64() * 1e9 / iterations as f64);
-        }
-
-        for &threads in thread_counts {
-            assert!(threads > 0, "at least one partition worker required");
-            if threads < 2 {
-                out.push(PartitionPoint {
-                    nodes,
-                    threads,
-                    iterations,
-                    serial_ns,
-                    barrier_ns: serial_ns,
-                    optimistic_ns: serial_ns,
-                    partitions: 1,
-                    planned_barriers: 0,
-                    frontier_arcs: 0,
-                    forced_rollbacks: 0,
-                });
-                continue;
-            }
-            let mut best = [f64::INFINITY; 2];
-            let mut shape = (0u64, 0u64, 0u64);
-            for (slot, mode) in [PartitionMode::Barrier, PartitionMode::Optimistic]
-                .into_iter()
-                .enumerate()
-            {
-                engine.reset();
-                engine.set_partition(Some(cfg(threads, mode, false)));
-                for rep in 0..reps {
-                    if rep > 0 {
-                        engine.reset();
-                    }
-                    let (wall, checksum) = drive_iterations(&mut engine, iterations);
-                    assert_eq!(
-                        checksum, serial_checksum,
-                        "{mode:?} diverged from serial at {nodes} nodes, {threads} workers"
-                    );
-                    best[slot] = best[slot].min(wall.as_secs_f64() * 1e9 / iterations as f64);
-                }
-                if slot == 0 {
-                    let stats = engine.partition_stats();
-                    shape = (
-                        stats.partitions,
-                        stats.planned_barriers,
-                        stats.frontier_arcs,
-                    );
-                }
-            }
-
-            // Rollback conformance probe: speculate on every boundary
-            // read, validate, roll back — and still match bitwise.
-            engine.reset();
-            engine.set_partition(Some(cfg(threads, PartitionMode::Optimistic, true)));
-            let (_, checksum) = drive_iterations(&mut engine, iterations);
-            assert_eq!(
-                checksum, serial_checksum,
-                "forced speculation diverged from serial at {nodes} nodes, {threads} workers"
-            );
-            let forced = engine.partition_stats();
-            if forced.frontier_arcs > 0 {
-                assert!(
-                    forced.rollbacks > 0,
-                    "forced speculation never rolled back at {nodes} nodes, \
-                     {threads} workers: {forced:?}"
-                );
-            }
-            engine.set_partition(None);
-
-            out.push(PartitionPoint {
-                nodes,
-                threads,
-                iterations,
-                serial_ns,
-                barrier_ns: best[0],
-                optimistic_ns: best[1],
-                partitions: shape.0,
-                planned_barriers: shape.1,
-                frontier_arcs: shape.2,
-                forced_rollbacks: forced.rollbacks,
-            });
-        }
-    }
-    out
-}
-
 /// One point of the batch-width grid: per-lane iteration cost of the
 /// batched lockstep engine at a given graph size and lane count
 /// (`width == 1` is the batching-off baseline the wider points are
@@ -868,21 +682,43 @@ pub fn batch_grid(
     out
 }
 
+/// The host a benchmark artifact was measured on: available cores, the
+/// fold-kernel SIMD level ([`kernel::simd_level`]), and the build profile.
+/// Every bench JSON writer embeds it as its `host` object, so a number's
+/// provenance travels with it.
+pub fn host_json() -> Json {
+    Json::object([
+        (
+            "cores",
+            Json::U64(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
+        ),
+        ("simd_level", Json::str(kernel::simd_level())),
+        (
+            "profile",
+            Json::str(if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }),
+        ),
+    ])
+}
+
 /// Renders backend-grid points (and, when non-empty, the batch-width,
 /// fast-forward, and delta grids) as the `results/bench_engine.json`
 /// document (machine-readable nodes → ns/iteration per backend, nodes ×
 /// width → ns/lane-iteration, nodes → sweep vs replay ns/iteration, nodes
-/// → full vs delta ns/iteration).
+/// → full vs delta ns/iteration), stamped with [`host_json`].
 pub fn backend_report_json(
     points: &[BackendPoint],
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
     delta_points: &[DeltaPoint],
-    partition_points: &[PartitionPoint],
 ) -> Json {
     let mut fields = vec![
         ("benchmark", Json::str("engine_backend")),
         ("unit", Json::str("ns_per_iteration")),
+        ("host", host_json()),
         (
             "points",
             Json::Array(
@@ -962,32 +798,6 @@ pub fn backend_report_json(
             ),
         ));
     }
-    if !partition_points.is_empty() {
-        fields.push((
-            "partition_points",
-            Json::Array(
-                partition_points
-                    .iter()
-                    .map(|p| {
-                        Json::object([
-                            ("nodes", Json::U64(p.nodes as u64)),
-                            ("threads", Json::U64(p.threads as u64)),
-                            ("iterations", Json::U64(p.iterations)),
-                            ("serial_ns_per_iter", Json::F64(p.serial_ns)),
-                            ("barrier_ns_per_iter", Json::F64(p.barrier_ns)),
-                            ("optimistic_ns_per_iter", Json::F64(p.optimistic_ns)),
-                            ("barrier_speedup", Json::F64(p.barrier_speedup())),
-                            ("optimistic_speedup", Json::F64(p.optimistic_speedup())),
-                            ("partitions", Json::U64(p.partitions)),
-                            ("planned_barriers", Json::U64(p.planned_barriers)),
-                            ("frontier_arcs", Json::U64(p.frontier_arcs)),
-                            ("forced_rollbacks", Json::U64(p.forced_rollbacks)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
     Json::object(fields)
 }
 
@@ -1002,15 +812,13 @@ pub fn write_backend_report(
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
     delta_points: &[DeltaPoint],
-    partition_points: &[PartitionPoint],
 ) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(
         path,
-        backend_report_json(points, batch_points, ff_points, delta_points, partition_points)
-            .render(),
+        backend_report_json(points, batch_points, ff_points, delta_points).render(),
     )
 }
 
@@ -1061,14 +869,30 @@ mod tests {
         assert_eq!(points[0].nodes.max(10), points[0].nodes, "padding only grows graphs");
         assert!(points[1].nodes >= 60);
         assert!(points.iter().all(|p| p.worklist_ns > 0.0 && p.compiled_ns > 0.0));
-        let rendered = backend_report_json(&points, &[], &[], &[], &[]).render();
+        let rendered = backend_report_json(&points, &[], &[], &[]).render();
         assert!(rendered.contains("\"benchmark\":\"engine_backend\""));
         assert!(rendered.contains("\"compiled_ns_per_iter\""));
         assert!(rendered.contains("\"speedup\""));
         assert!(!rendered.contains("\"batch_points\""));
         assert!(!rendered.contains("\"ff_points\""));
         assert!(!rendered.contains("\"delta_points\""));
-        assert!(!rendered.contains("\"partition_points\""));
+    }
+
+    #[test]
+    fn backend_report_carries_the_host_stamp() {
+        let rendered = backend_report_json(&[], &[], &[], &[]).render();
+        assert!(evolve_obs::json::parses(&rendered), "{rendered}");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        let host = format!(
+            "\"host\":{{\"cores\":{cores},\"simd_level\":\"{}\",\"profile\":\"{profile}\"}}",
+            kernel::simd_level()
+        );
+        assert!(rendered.contains(&host), "{rendered}");
     }
 
     #[test]
@@ -1080,7 +904,7 @@ mod tests {
         assert!(points.iter().all(|p| p.nodes >= 60));
         assert!(points.iter().all(|p| p.ns_per_lane_iter > 0.0));
         assert_eq!(points[0].iterations, points[1].iterations, "same work per lane across widths");
-        let rendered = backend_report_json(&[], &points, &[], &[], &[]).render();
+        let rendered = backend_report_json(&[], &points, &[], &[]).render();
         assert!(rendered.contains("\"batch_points\""));
         assert!(rendered.contains("\"ns_per_lane_iter\""));
         assert!(rendered.contains("\"width\":4"));
@@ -1102,7 +926,7 @@ mod tests {
             p.fast_forward_ns,
             p.compiled_ns
         );
-        let rendered = backend_report_json(&[], &[], &points, &[], &[]).render();
+        let rendered = backend_report_json(&[], &[], &points, &[]).render();
         assert!(rendered.contains("\"ff_points\""));
         assert!(rendered.contains("\"fast_forward_ns_per_iter\""));
         assert!(rendered.contains("\"gain\""));
@@ -1124,37 +948,10 @@ mod tests {
             p.delta_ns,
             p.compiled_ns
         );
-        let rendered = backend_report_json(&[], &[], &[], &points, &[]).render();
+        let rendered = backend_report_json(&[], &[], &[], &points).render();
         assert!(rendered.contains("\"delta_points\""));
         assert!(rendered.contains("\"delta_ns_per_iter\""));
         assert!(rendered.contains("\"reused_fraction\""));
-    }
-
-    #[test]
-    fn partition_grid_smoke() {
-        // The grid's internal assertions cover checksum conformance and
-        // the forced-rollback requirement; here we pin the degenerate
-        // row, the plan shape, and the report shape.
-        let points = partition_grid(&[600], &[1, 2], 60_000, 2);
-        assert_eq!(points.len(), 2);
-        let serial = &points[0];
-        assert_eq!(serial.threads, 1);
-        assert_eq!(serial.serial_ns, serial.barrier_ns);
-        assert_eq!(serial.forced_rollbacks, 0);
-        let parallel = &points[1];
-        assert_eq!(parallel.threads, 2);
-        assert!(parallel.nodes >= 600);
-        assert_eq!(parallel.partitions, 2, "{parallel:?}");
-        assert!(parallel.barrier_ns > 0.0 && parallel.optimistic_ns > 0.0);
-        assert!(
-            parallel.frontier_arcs == 0 || parallel.forced_rollbacks > 0,
-            "{parallel:?}"
-        );
-        let rendered = backend_report_json(&[], &[], &[], &[], &points).render();
-        assert!(rendered.contains("\"partition_points\""));
-        assert!(rendered.contains("\"barrier_ns_per_iter\""));
-        assert!(rendered.contains("\"forced_rollbacks\""));
-        assert!(rendered.contains("\"barrier_speedup\""));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! [`DerivedTdg`](crate::DerivedTdg):
 //!
 //! * a **levelized schedule** — node ids in topological order of the
-//!   zero-delay subgraph, with [`level offsets`](CompiledTdg::level_count)
-//!   marking the longest-path depth boundaries (every node's same-iteration
-//!   dependencies sit in strictly earlier levels);
+//!   zero-delay subgraph, grouped by longest-path depth
+//!   ([`level_count`](CompiledTdg::level_count) levels; every node's
+//!   same-iteration dependencies sit in strictly earlier levels);
 //! * incoming arcs flattened into **CSR** (one contiguous source/weight
 //!   slice per stream plus per-node offset ranges), partitioned into three
 //!   streams by what varies: same-iteration constant arcs (the branch-light
@@ -55,15 +55,6 @@ pub enum EvalBackend {
     /// worklist within the same engine.
     #[default]
     Compiled,
-    /// The compiled sweep with the intra-graph partitioned parallel path
-    /// enabled ([`crate::ParallelConfig`]): large iterations are swept by a
-    /// pool of workers over per-level slot partitions, exchanging only the
-    /// cross-partition arc frontier. Bitwise identical to [`Compiled`]
-    /// (see `tests/partition_conformance.rs`); graphs below the engagement
-    /// threshold evaluate on the serial sweep unchanged.
-    ///
-    /// [`Compiled`]: EvalBackend::Compiled
-    CompiledParallel,
 }
 
 impl EvalBackend {
@@ -72,7 +63,6 @@ impl EvalBackend {
         match self {
             EvalBackend::Worklist => "worklist",
             EvalBackend::Compiled => "compiled",
-            EvalBackend::CompiledParallel => "compiled-parallel",
         }
     }
 }
@@ -232,9 +222,8 @@ pub struct CompiledTdg {
     /// Evaluation schedule: node ids, topologically ordered by zero-delay
     /// level (stable within a level).
     pub(crate) schedule: Vec<u32>,
-    /// Slot ranges per level: level `l` spans
-    /// `schedule[level_offsets[l] .. level_offsets[l + 1]]`.
-    pub(crate) level_offsets: Vec<u32>,
+    /// Number of zero-delay levels (schedule depth).
+    pub(crate) levels: usize,
     /// SoA instruction stream: observation action per schedule slot.
     pub(crate) obs: Vec<Obs>,
     /// CSR offsets (per slot, length `slots + 1`) into the same-iteration
@@ -324,16 +313,6 @@ impl CompiledTdg {
         let level_count = schedule
             .last()
             .map_or(0, |&i| levels[i as usize] as usize + 1);
-        let mut level_offsets = Vec::with_capacity(level_count + 1);
-        level_offsets.push(0u32);
-        for (slot, &node) in schedule.iter().enumerate() {
-            while level_offsets.len() <= levels[node as usize] as usize {
-                level_offsets.push(slot as u32);
-            }
-        }
-        while level_offsets.len() <= level_count {
-            level_offsets.push(schedule.len() as u32);
-        }
 
         let mut obs = Vec::with_capacity(n);
         let mut const_offsets = Vec::with_capacity(n + 1);
@@ -405,7 +384,7 @@ impl CompiledTdg {
 
         CompiledTdg {
             schedule,
-            level_offsets,
+            levels: level_count,
             obs,
             const_offsets,
             const_srcs,
@@ -475,7 +454,7 @@ impl CompiledTdg {
 
     /// Number of zero-delay levels (schedule depth).
     pub fn level_count(&self) -> usize {
-        self.level_offsets.len().saturating_sub(1)
+        self.levels
     }
 
     /// Same-iteration constant arcs in the fast CSR stream.
@@ -499,7 +478,6 @@ impl CompiledTdg {
     /// compiled program.
     pub fn buffer_elements(&self) -> usize {
         self.schedule.capacity()
-            + self.level_offsets.capacity()
             + self.obs.capacity()
             + self.const_offsets.capacity()
             + self.const_srcs.capacity()
@@ -588,13 +566,10 @@ mod tests {
                 assert!(levels[arc.src.index()] < levels[arc.dst.index()]);
             }
         }
-        // Level offsets bracket exactly the slots of each level.
+        // The level count spans every slot's level, and no level is empty.
         assert_eq!(c.level_count(), *slot_levels.last().unwrap() as usize + 1);
-        for l in 0..c.level_count() {
-            let (lo, hi) = (c.level_offsets[l] as usize, c.level_offsets[l + 1] as usize);
-            assert!(lo < hi, "level {l} is empty");
-            assert!(slot_levels[lo..hi].iter().all(|&x| x as usize == l));
-        }
+        assert_eq!(slot_levels[0], 0);
+        assert!(slot_levels.windows(2).all(|w| w[1] <= w[0] + 1));
     }
 
     #[test]

@@ -280,7 +280,7 @@ pub(crate) struct DeltaCaptureState {
 /// Structurally compares two compiled programs and computes the sibling's
 /// seed frontier against the base.
 ///
-/// Everything *positional* must be identical — schedule, level boundaries,
+/// Everything *positional* must be identical — schedule, level count,
 /// CSR offsets, arc sources, delays, observation actions, and stash slots —
 /// otherwise there is no node-for-node correspondence and the sibling is
 /// rejected with [`DeltaUnsupported::StructureMismatch`]. The *values*
@@ -290,7 +290,7 @@ pub(crate) fn compute_seeds(
     sib: &CompiledTdg,
 ) -> Result<(Vec<bool>, usize), DeltaUnsupported> {
     let structure_equal = base.schedule == sib.schedule
-        && base.level_offsets == sib.level_offsets
+        && base.levels == sib.levels
         && base.obs == sib.obs
         && base.const_offsets == sib.const_offsets
         && base.const_srcs == sib.const_srcs

@@ -38,14 +38,9 @@ use std::sync::Arc;
 use evolve_des::{EventId, Time};
 use evolve_maxplus::MaxPlus;
 use evolve_model::{ExecRecord, LoadContext};
-use evolve_obs::{BackendKind, EngineEvent, Observer, PartitionTracer, Phase as FlightPhase};
+use evolve_obs::{BackendKind, EngineEvent, Observer};
 
 use crate::compile::{lower_node_meta, CompiledTdg, EvalBackend, Obs};
-use crate::parallel::{
-    pin_current_thread, ParallelConfig, ParallelRuntime, PartitionMode, PartitionPlan,
-    PartitionStats, SpinBarrier, WorkerFlight,
-};
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use crate::delta::{
     self, DeltaCache, DeltaCaptureState, DeltaLink, DeltaRow, DeltaStats, DeltaUnsupported,
 };
@@ -231,205 +226,6 @@ fn eval_weight(
     (lag, ops_total)
 }
 
-/// Shared read-only context of one partitioned sweep (Phase 2 of
-/// `compute_iteration_parallel`). Mutation goes through the atomic
-/// accumulator scratch only; everything else is frozen for the scope.
-#[derive(Clone, Copy)]
-struct ParSweepCtx<'a> {
-    ct: &'a CompiledTdg,
-    plan: &'a PartitionPlan,
-    ring: &'a VecDeque<IterState>,
-    tail: &'a IterState,
-    acc: &'a [AtomicI64],
-    frontier: &'a [i64],
-    progress: &'a [AtomicU32],
-    barrier: &'a SpinBarrier,
-    base_k: u64,
-    k: u64,
-    mode: PartitionMode,
-    force_speculation: bool,
-    pin: bool,
-    /// Attached flight recorder (serving layer), or `None` when detached.
-    flight: Option<WorkerFlight<'a>>,
-}
-
-/// One worker's deterministic counters plus its speculation log
-/// (`(src, dst)` node pairs, validated by the coordinator).
-struct PartitionSweepOut {
-    nodes: u64,
-    arcs: u64,
-    barrier_crossings: u64,
-    speculative_reads: u64,
-    speculated: Vec<(u32, u32)>,
-}
-
-/// Sweeps partition `p`'s per-level slot ranges. The per-slot fold is the
-/// serial sweep's slot body verbatim — only the zero-delay source reads
-/// differ, going through the shared scratch under the mode's frontier
-/// discipline.
-fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
-    if cx.pin {
-        pin_current_thread(p);
-    }
-    let ct = cx.ct;
-    let plan = cx.plan;
-    let t1 = plan.threads + 1;
-    let mut out = PartitionSweepOut {
-        nodes: 0,
-        arcs: 0,
-        barrier_crossings: 0,
-        speculative_reads: 0,
-        speculated: Vec::new(),
-    };
-    // Zero-delay source read under the frontier discipline. Own writes
-    // and pre-published (look-ahead) slots are always current; foreign
-    // unpublished slots are speculated from the frontier cache.
-    let read0 = |src: usize, dst: usize, out: &mut PartitionSweepOut| -> MaxPlus {
-        match cx.mode {
-            PartitionMode::Barrier => MaxPlus::from_raw(cx.acc[src].load(Ordering::Relaxed)),
-            PartitionMode::Optimistic => {
-                let owner = plan.owner_of[src] as usize;
-                let published = owner == p
-                    || cx.tail.computed[src]
-                    || (!cx.force_speculation
-                        && cx.progress[owner].load(Ordering::Acquire) > plan.level_of[src]);
-                if published {
-                    MaxPlus::from_raw(cx.acc[src].load(Ordering::Relaxed))
-                } else {
-                    out.speculative_reads += 1;
-                    out.speculated.push((src as u32, dst as u32));
-                    MaxPlus::from_raw(cx.frontier[src])
-                }
-            }
-        }
-    };
-    for l in 0..plan.levels {
-        if cx.mode == PartitionMode::Barrier && plan.barrier_before[l] {
-            cx.barrier.wait();
-            out.barrier_crossings += 1;
-        }
-        let lo = plan.bounds[l * t1 + p] as usize;
-        let hi = plan.bounds[l * t1 + p + 1] as usize;
-        // Per-level sweep span (started after the barrier wait so barrier
-        // stalls show up as track gaps, not inflated sweep time). Empty
-        // levels are not recorded — they would flood the bounded ring.
-        let span_start = match cx.flight {
-            Some(f) if lo < hi => f.now_ns(),
-            _ => 0,
-        };
-        for pos in lo..hi {
-            let node = ct.schedule[pos] as usize;
-            if cx.tail.computed[node] {
-                continue; // look-ahead prefix or the input slot
-            }
-            let (c0, chi) = (ct.const_offsets[pos] as usize, ct.const_offsets[pos + 1] as usize);
-            let (s0, shi) = (ct.slow_offsets[pos] as usize, ct.slow_offsets[pos + 1] as usize);
-            let (e0, ehi) = (ct.exec_offsets[pos] as usize, ct.exec_offsets[pos + 1] as usize);
-            out.nodes += 1;
-            out.arcs += (chi - c0 + shi - s0 + ehi - e0) as u64;
-            let mut acc = MaxPlus::E;
-            for i in s0..shi {
-                let delay = u64::from(ct.slow_delays[i]);
-                let src = ct.slow_srcs[i] as usize;
-                let src_val = if delay > cx.k {
-                    MaxPlus::E
-                } else {
-                    iter_at(cx.ring, cx.base_k, cx.k - delay).map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                acc = acc.oplus(src_val.otimes(ct.slow_lags[i]));
-            }
-            for i in e0..ehi {
-                let delay = u64::from(ct.exec_delays[i]);
-                let src = ct.exec_srcs[i] as usize;
-                let src_val = if delay == 0 {
-                    read0(src, node, &mut out)
-                } else if delay > cx.k {
-                    MaxPlus::E
-                } else {
-                    iter_at(cx.ring, cx.base_k, cx.k - delay).map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                if src_val.is_epsilon() {
-                    continue;
-                }
-                let exec = &ct.exec_arcs[i];
-                let (lag, _ops) =
-                    eval_weight(&exec.weight, cx.k, cx.ring, cx.base_k, Some(cx.tail));
-                acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-            }
-            for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
-                let src_val = read0(src as usize, node, &mut out);
-                if !src_val.is_epsilon() {
-                    acc = acc.oplus(src_val.otimes(lag));
-                }
-            }
-            cx.acc[node].store(acc.raw(), Ordering::Relaxed);
-        }
-        if let Some(f) = cx.flight {
-            if lo < hi {
-                f.record(p, FlightPhase::Sweep, span_start, f.now_ns(), l as u64);
-            }
-        }
-        if cx.mode == PartitionMode::Optimistic {
-            // Publish: level `l` of this partition is final (Release pairs
-            // with readers' Acquire on the progress counter).
-            cx.progress[p].store(l as u32 + 1, Ordering::Release);
-        }
-    }
-    out
-}
-
-/// Recomputes slot `pos`'s fold from *final* values (rollback pass):
-/// identical arithmetic to the sweep, with every zero-delay source read
-/// straight from the (now coordinator-owned) scratch.
-fn recompute_slot_final(
-    ct: &CompiledTdg,
-    ring: &VecDeque<IterState>,
-    tail: &IterState,
-    accs: &[AtomicI64],
-    base_k: u64,
-    k: u64,
-    pos: usize,
-) -> MaxPlus {
-    let (c0, chi) = (ct.const_offsets[pos] as usize, ct.const_offsets[pos + 1] as usize);
-    let (s0, shi) = (ct.slow_offsets[pos] as usize, ct.slow_offsets[pos + 1] as usize);
-    let (e0, ehi) = (ct.exec_offsets[pos] as usize, ct.exec_offsets[pos + 1] as usize);
-    let mut acc = MaxPlus::E;
-    for i in s0..shi {
-        let delay = u64::from(ct.slow_delays[i]);
-        let src = ct.slow_srcs[i] as usize;
-        let src_val = if delay > k {
-            MaxPlus::E
-        } else {
-            iter_at(ring, base_k, k - delay).map_or(MaxPlus::E, |it| it.acc[src])
-        };
-        acc = acc.oplus(src_val.otimes(ct.slow_lags[i]));
-    }
-    for i in e0..ehi {
-        let delay = u64::from(ct.exec_delays[i]);
-        let src = ct.exec_srcs[i] as usize;
-        let src_val = if delay == 0 {
-            MaxPlus::from_raw(accs[src].load(Ordering::Relaxed))
-        } else if delay > k {
-            MaxPlus::E
-        } else {
-            iter_at(ring, base_k, k - delay).map_or(MaxPlus::E, |it| it.acc[src])
-        };
-        if src_val.is_epsilon() {
-            continue;
-        }
-        let exec = &ct.exec_arcs[i];
-        let (lag, _ops) = eval_weight(&exec.weight, k, ring, base_k, Some(tail));
-        acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-    }
-    for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
-        let src_val = MaxPlus::from_raw(accs[src as usize].load(Ordering::Relaxed));
-        if !src_val.is_epsilon() {
-            acc = acc.oplus(src_val.otimes(lag));
-        }
-    }
-    acc
-}
-
 /// Incremental evaluator of a derived temporal dependency graph.
 ///
 /// # Examples
@@ -530,14 +326,6 @@ pub struct Engine {
     delta: Option<Box<DeltaLink>>,
     /// In-progress base capture for [`Engine::finish_delta_capture`].
     delta_capture: Option<Box<DeltaCaptureState>>,
-    /// Partitioned parallel evaluation runtime (plan + shared scratch);
-    /// `None` unless [`Engine::set_partition`] enabled the path.
-    parallel: Option<Box<ParallelRuntime>>,
-    /// Attached flight recorder handle (serving layer): sweep / validate /
-    /// rollback spans of the parallel path are recorded against its
-    /// per-worker tracks under the current correlation id. `None` (the
-    /// default) keeps evaluation recorder-free.
-    flight: Option<Box<PartitionTracer>>,
 }
 
 /// Snapshot of observable-state lengths, diffed after a captured call to
@@ -595,9 +383,7 @@ impl Engine {
 
         let meta = lower_node_meta(&tdg, relation_count);
         let compiled = match backend {
-            EvalBackend::Compiled | EvalBackend::CompiledParallel => {
-                Some(CompiledTdg::lower(&tdg, &topo, &meta))
-            }
+            EvalBackend::Compiled => Some(CompiledTdg::lower(&tdg, &topo, &meta)),
             EvalBackend::Worklist => None,
         };
         let node_obs = meta.obs;
@@ -678,7 +464,7 @@ impl Engine {
 
         let n_inputs = tdg.inputs().len();
         let n_outputs = tdg.outputs().len();
-        let mut engine = Engine {
+        Engine {
             size_rules,
             relation_count,
             remaining_template,
@@ -719,66 +505,7 @@ impl Engine {
             observer: None,
             delta: None,
             delta_capture: None,
-            parallel: None,
-            flight: None,
             tdg,
-        };
-        if backend == EvalBackend::CompiledParallel {
-            engine.set_partition(Some(ParallelConfig::default()));
-        }
-        engine
-    }
-
-    /// Enables (`Some`) or disables (`None`) the intra-graph partitioned
-    /// parallel evaluation path. Requires the compiled backend; on the
-    /// worklist backend (or with fewer than two workers) the call leaves
-    /// the engine serial. The path engages per iteration only on the
-    /// steady-state full sweep of graphs with at least
-    /// [`ParallelConfig::min_nodes`] nodes — delta hits, fast-forward
-    /// replay, and the worklist fallback are untouched. Results, logs,
-    /// and [`EngineStats`] stay bitwise identical to the serial sweep in
-    /// both [`PartitionMode`]s.
-    pub fn set_partition(&mut self, config: Option<ParallelConfig>) {
-        self.parallel = match (config, &self.compiled) {
-            (Some(cfg), Some(ct)) if cfg.threads >= 2 => {
-                Some(Box::new(ParallelRuntime::new(ct, &self.size_rules, cfg)))
-            }
-            _ => None,
-        };
-    }
-
-    /// Cumulative counters of the partitioned parallel path (all zero
-    /// when [`Engine::set_partition`] never enabled it).
-    pub fn partition_stats(&self) -> PartitionStats {
-        self.parallel.as_ref().map_or_else(PartitionStats::default, |rt| rt.stats)
-    }
-
-    /// The size rules, for plan construction (parallel module's tests).
-    #[cfg(test)]
-    pub(crate) fn size_rules(&self) -> &[SizeRule] {
-        &self.size_rules
-    }
-
-    /// Attaches (or with `None` detaches) a flight-recorder handle. While
-    /// attached, the parallel path records per-worker per-level `sweep`
-    /// spans plus coordinator `validate`/`rollback` spans under the
-    /// correlation id set by [`Engine::set_flight_corr`] — host-time
-    /// telemetry only, bitwise invisible to evaluation results.
-    pub fn set_flight_recorder(&mut self, tracer: Option<PartitionTracer>) {
-        self.flight = tracer.map(Box::new);
-    }
-
-    /// Whether a flight-recorder handle is currently attached.
-    pub fn flight_attached(&self) -> bool {
-        self.flight.is_some()
-    }
-
-    /// Sets the correlation id stamped on subsequently recorded spans
-    /// (the serving layer calls this per admitted request). No-op when no
-    /// recorder is attached.
-    pub fn set_flight_corr(&mut self, corr: u64) {
-        if let Some(flight) = &mut self.flight {
-            flight.corr = corr;
         }
     }
 
@@ -791,7 +518,6 @@ impl Engine {
         observer.on_event(EngineEvent::Attached {
             backend: match self.backend {
                 EvalBackend::Compiled => BackendKind::Compiled,
-                EvalBackend::CompiledParallel => BackendKind::CompiledParallel,
                 EvalBackend::Worklist => BackendKind::Worklist,
             },
             nodes: self.tdg.node_count() as u64,
@@ -1051,11 +777,6 @@ impl Engine {
         // Delta state is per-scenario: re-attach (or re-capture) after reset.
         self.delta = None;
         self.delta_capture = None;
-        // Partition runtime: keep the plan, restore the deterministic
-        // scratch (frontier caches must not leak across traces).
-        if let Some(rt) = &mut self.parallel {
-            rt.reset();
-        }
         // The observer stays attached across scenarios; Reset marks the
         // time-axis boundary so streaming accumulators seal their frontier.
         if let Some(ob) = &mut self.observer {
@@ -1265,21 +986,11 @@ impl Engine {
                 .is_some_and(|l| (k as usize) < l.cache.rows.len());
             if use_delta {
                 self.compute_iteration_delta(k, node, relation.index(), at, size);
-                if let Some(rt) = &mut self.parallel {
-                    rt.stats.serial_iterations += 1;
-                }
             } else {
                 if let Some(link) = &mut self.delta {
                     link.stats.calls_full += 1;
                 }
-                if self.partition_engaged() {
-                    self.compute_iteration_parallel(k, node, relation.index(), at, size);
-                } else {
-                    self.compute_iteration_compiled(k, node, relation.index(), at, size);
-                    if let Some(rt) = &mut self.parallel {
-                        rt.stats.serial_iterations += 1;
-                    }
-                }
+                self.compute_iteration_compiled(k, node, relation.index(), at, size);
             }
             self.ensure_lookahead();
             self.delta_capture_row(k, at, size);
@@ -1465,282 +1176,6 @@ impl Engine {
         self.stats.arcs_evaluated += arcs_local;
         self.ring.push_back(tail);
         self.compiled = Some(ct);
-    }
-
-    /// Whether the next full fast-path sweep runs on the partitioned
-    /// parallel path: a runtime is attached (which implies the compiled
-    /// backend and ≥ 2 planned partitions) and the graph is big enough
-    /// that the fork/join and frontier costs amortize.
-    fn partition_engaged(&self) -> bool {
-        self.compiled.is_some()
-            && self
-                .parallel
-                .as_ref()
-                .is_some_and(|rt| {
-                    rt.plan.threads >= 2 && self.tdg.node_count() >= rt.config.min_nodes
-                })
-    }
-
-    /// Evaluates iteration `k` with the partitioned parallel sweep —
-    /// bitwise equivalent to [`Engine::compute_iteration_compiled`], but
-    /// the per-slot (max,+) folds run on `P` workers over the plan's
-    /// per-level slot ranges. The decomposition that keeps it exact:
-    ///
-    /// 1. **Size pre-pass** (serial): derived token sizes depend only on
-    ///    other sizes — never on accumulators — so the coordinator replays
-    ///    the sweep's size writes in schedule order before any worker
-    ///    starts; workers then read a frozen `tail.sizes`.
-    /// 2. **Partitioned sweep** (parallel): workers fold accumulators into
-    ///    a shared atomic scratch. Delayed arcs read the immutable ring;
-    ///    zero-delay arcs within a partition read the worker's own writes;
-    ///    zero-delay arcs across partitions synchronize per
-    ///    [`PartitionMode`] (barrier waits, or speculation on the frontier
-    ///    cache with post-join rollback).
-    /// 3. **Observation replay** (serial): the coordinator re-walks the
-    ///    observed slots in schedule order, emitting logs, acks, outputs,
-    ///    and exec records exactly as the serial sweep interleaves them.
-    fn compute_iteration_parallel(
-        &mut self,
-        k: u64,
-        input_node: NodeId,
-        input_relation: usize,
-        at: Time,
-        size: u64,
-    ) {
-        if k == self.base_k + self.ring.len() as u64 {
-            let mut state = match self.free.pop() {
-                Some(mut s) => {
-                    s.reset(&self.remaining_template);
-                    s
-                }
-                None => {
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs)
-                }
-            };
-            state.computed.fill(false);
-            self.ring.push_back(state);
-        }
-        let mut tail = self.ring.pop_back().expect("tail exists");
-        tail.sizes[input_relation] = size;
-        tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
-        tail.nodes_pending = 0;
-        self.stats.iterations_completed += 1;
-
-        let ct = self.compiled.take().expect("parallel path gated on compiled");
-        let mut rt = self.parallel.take().expect("parallel path gated on runtime");
-        // Taken (not borrowed) so the worker-facing references below don't
-        // pin `self` while later phases mutate it; restored with the
-        // runtime at the end.
-        let flight = self.flight.take();
-        let wf = flight.as_deref().map(|t| WorkerFlight {
-            recorder: &t.recorder,
-            tracks: &t.tracks,
-            corr: t.corr,
-        });
-        tail.computed[input_node.index()] = true;
-
-        // ---- Phase 1: seed scratch + serial size pre-pass. -------------
-        // Slots computed before the sweep (look-ahead prefix, the input)
-        // publish their accumulators to the scratch up front; everything
-        // else keeps its previous-iteration value, which is exactly the
-        // optimistic frontier cache.
-        for (node, &done) in tail.computed.iter().enumerate() {
-            if done {
-                rt.acc[node].store(tail.acc[node].raw(), Ordering::Relaxed);
-            }
-        }
-        for &pos in &rt.plan.derived_exchanges {
-            let node = ct.schedule[pos as usize] as usize;
-            if tail.computed[node] {
-                continue; // sized when the look-ahead observed it
-            }
-            let Obs::Exchange { relation, .. } = ct.obs[pos as usize] else {
-                unreachable!("derived_exchanges holds Exchange slots only")
-            };
-            let relation = relation as usize;
-            if let SizeRule::Derived { from, model } = self.size_rules[relation] {
-                let input_size = match from {
-                    None => 0,
-                    Some((rel, delay)) => {
-                        if u64::from(delay) > k {
-                            0
-                        } else if delay == 0 {
-                            tail.sizes[rel.index()]
-                        } else {
-                            iter_at(&self.ring, self.base_k, k - u64::from(delay))
-                                .map_or(0, |it| it.sizes[rel.index()])
-                        }
-                    }
-                };
-                tail.sizes[relation] = model.apply(input_size);
-            }
-        }
-        for &src in &rt.plan.boundary_srcs {
-            rt.frontier[src as usize] = rt.acc[src as usize].load(Ordering::Relaxed);
-        }
-        for p in &rt.progress {
-            p.store(0, Ordering::Relaxed);
-        }
-
-        // ---- Phase 2: the partitioned sweep. ---------------------------
-        let barrier = SpinBarrier::new(rt.plan.threads as u32);
-        let cx = ParSweepCtx {
-            ct: &ct,
-            plan: &rt.plan,
-            ring: &self.ring,
-            tail: &tail,
-            acc: &rt.acc,
-            frontier: &rt.frontier,
-            progress: &rt.progress,
-            barrier: &barrier,
-            base_k: self.base_k,
-            k,
-            mode: rt.config.mode,
-            force_speculation: rt.config.force_speculation,
-            pin: rt.config.pin,
-            flight: wf,
-        };
-        let outs: Vec<PartitionSweepOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = (1..cx.plan.threads)
-                .map(|p| s.spawn(move || sweep_partition(cx, p)))
-                .collect();
-            let mut outs = vec![sweep_partition(cx, 0)];
-            outs.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition worker panicked")),
-            );
-            outs
-        });
-
-        // ---- Phase 3: validate speculation, roll back, commit. ---------
-        // Validate/rollback run on the coordinator, so their spans land on
-        // worker 0's track. Only the optimistic mode validates anything;
-        // barrier mode skips the (empty) span rather than flood the ring.
-        let validate_start = match wf {
-            Some(f) if rt.config.mode == PartitionMode::Optimistic => f.now_ns(),
-            _ => 0,
-        };
-        let mut misses = 0u64;
-        let mut recomputed = 0u64;
-        let mut any_dirty = false;
-        for out in &outs {
-            for &(src, dst) in &out.speculated {
-                if rt.acc[src as usize].load(Ordering::Relaxed) != rt.frontier[src as usize] {
-                    misses += 1;
-                    if !rt.dirty[dst as usize] {
-                        rt.dirty[dst as usize] = true;
-                        any_dirty = true;
-                    }
-                }
-            }
-        }
-        if let Some(f) = wf {
-            if rt.config.mode == PartitionMode::Optimistic {
-                f.record(0, FlightPhase::Validate, validate_start, f.now_ns(), misses);
-            }
-        }
-        if any_dirty {
-            let rollback_start = wf.map(|f| f.now_ns());
-            rt.stats.rollbacks += 1;
-            // Ascending schedule order is topological for zero-delay arcs,
-            // so one pass reaches the change-propagation fixed point.
-            let plan = &rt.plan;
-            let accs = &rt.acc;
-            let dirty = &mut rt.dirty;
-            for pos in 0..ct.schedule.len() {
-                let node = ct.schedule[pos] as usize;
-                if !dirty[node] {
-                    continue;
-                }
-                dirty[node] = false;
-                if tail.computed[node] {
-                    continue; // pre-published slots are never speculative
-                }
-                let fresh = recompute_slot_final(&ct, &self.ring, &tail, accs, self.base_k, k, pos);
-                recomputed += 1;
-                if fresh.raw() != accs[node].load(Ordering::Relaxed) {
-                    accs[node].store(fresh.raw(), Ordering::Relaxed);
-                    for &succ in plan.succ0(node) {
-                        dirty[succ as usize] = true;
-                    }
-                }
-            }
-            if let (Some(f), Some(start)) = (wf, rollback_start) {
-                f.record(0, FlightPhase::Rollback, start, f.now_ns(), recomputed);
-            }
-        }
-        for (node, a) in rt.acc.iter().enumerate() {
-            tail.acc[node] = MaxPlus::from_raw(a.load(Ordering::Relaxed));
-        }
-
-        // Execution-info stash: recomputed serially for the few exec slots
-        // (padding-dominated graphs observe almost nothing), mirroring the
-        // serial sweep's per-slot capture exactly.
-        if self.record_observations {
-            for &pos in &rt.plan.stash_slots {
-                let pos = pos as usize;
-                let node = ct.schedule[pos] as usize;
-                if tail.computed[node] {
-                    continue;
-                }
-                let (e0, ehi) = (ct.exec_offsets[pos] as usize, ct.exec_offsets[pos + 1] as usize);
-                let mut stash: Option<(u32, (MaxPlus, u64))> = None;
-                for i in e0..ehi {
-                    let delay = u64::from(ct.exec_delays[i]);
-                    let src = ct.exec_srcs[i] as usize;
-                    let src_val = if delay == 0 {
-                        tail.acc[src]
-                    } else if delay > k {
-                        MaxPlus::EPSILON
-                    } else {
-                        iter_at(&self.ring, self.base_k, k - delay)
-                            .map_or(MaxPlus::EPSILON, |it| it.acc[src])
-                    };
-                    if src_val.is_epsilon() {
-                        continue;
-                    }
-                    let exec = &ct.exec_arcs[i];
-                    if exec.stash_dense != u32::MAX {
-                        let (_lag, ops) =
-                            eval_weight(&exec.weight, k, &self.ring, self.base_k, Some(&tail));
-                        stash = Some((exec.stash_dense, (src_val, ops)));
-                    }
-                }
-                if let Some((dense, captured)) = stash {
-                    tail.exec_stash[dense as usize] = captured;
-                }
-            }
-        }
-
-        // ---- Phase 4: deferred observation replay, in schedule order. --
-        for &pos in &rt.plan.observed_slots {
-            let node = ct.schedule[pos as usize] as usize;
-            if tail.computed[node] {
-                continue; // observed during look-ahead
-            }
-            let value = tail.acc[node];
-            self.observe_at(k, NodeId(node), value, Some(&mut tail));
-        }
-        tail.computed.fill(true);
-
-        let mut nodes_local = 1u64; // the pre-marked input node
-        let mut arcs_local = 0u64;
-        for out in &outs {
-            nodes_local += out.nodes;
-            arcs_local += out.arcs;
-            rt.stats.barrier_crossings += out.barrier_crossings;
-            rt.stats.speculative_reads += out.speculative_reads;
-        }
-        self.stats.nodes_computed += nodes_local;
-        self.stats.arcs_evaluated += arcs_local;
-        rt.stats.parallel_iterations += 1;
-        rt.stats.speculation_misses += misses;
-        rt.stats.slots_recomputed += recomputed;
-        self.ring.push_back(tail);
-        self.compiled = Some(ct);
-        self.parallel = Some(rt);
-        self.flight = flight;
     }
 
     /// Clones the just-finished fast-path iteration `k` into the capture

@@ -97,10 +97,7 @@ pub fn pad(tdg: &Tdg, extra: usize) -> Tdg {
 /// `chains == 1` reproduces [`pad`] exactly (same names, same node order,
 /// same arcs). Larger values keep the node count but shrink the schedule
 /// depth: node `pad{i}` lands on chain `i % chains`, so every zero-delay
-/// level of the padded region holds up to `chains` independent nodes. Wide
-/// levels are what give the partitioned parallel sweep
-/// ([`crate::ParallelConfig`]) something to split — a single chain is one
-/// node per level and can only ever be walked serially.
+/// level of the padded region holds up to `chains` independent nodes.
 ///
 /// Like [`pad`], the padding influences no instant; it is pure
 /// `ComputeInstant()` load.
@@ -304,8 +301,8 @@ mod tests {
 
     #[test]
     fn padding_scales_to_the_200k_fig5_point() {
-        // The PR 9 grid's largest point: 200k nodes, wide enough for the
-        // partitioned sweep. Exercises the builder, levelization, and
+        // The Fig. 5 grid's largest point: 200k nodes over 64 chains.
+        // Exercises the builder, levelization, and
         // compiled lowering at a size where any quadratic pass or 32-bit
         // arc-count overflow would show immediately.
         let p = pipeline(3, 200, 2).unwrap();

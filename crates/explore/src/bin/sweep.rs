@@ -14,11 +14,7 @@
 //! default 200), `--batch N` (lockstep lanes per `BatchedEngine`, default
 //! 8; `1` disables batching), `--no-fast-forward` (disable periodic
 //! steady-state fast-forward, for A/B timing runs), `--no-delta` (disable
-//! delta chaining of sibling scenarios, for A/B timing runs),
-//! `--partition-threads N` (intra-graph partition workers per engine
-//! sweep, default 1 = serial; bitwise invisible either way),
-//! `--partition-mode barrier|optimistic` (boundary exchange discipline of
-//! the partitioned sweep, default barrier), `--compare`
+//! delta chaining of sibling scenarios, for A/B timing runs), `--compare`
 //! (also run the conventional DES model per scenario), `--out PATH` (report path,
 //! default `results/sweep.json`), `--metrics PATH` (enable streaming
 //! telemetry and write a metrics snapshot — Prometheus text exposition, or
@@ -28,7 +24,6 @@
 
 use std::path::PathBuf;
 
-use evolve_core::PartitionMode;
 use evolve_explore::{default_grid, run_sweep, trace_scenario, FastForward, Json, SweepConfig};
 
 struct Options {
@@ -38,15 +33,13 @@ struct Options {
     batch: usize,
     fast_forward: FastForward,
     delta: bool,
-    partition_threads: usize,
-    partition_mode: PartitionMode,
     compare: bool,
     out: PathBuf,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--no-delta] [--partition-threads N] [--partition-mode barrier|optimistic] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
+const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--no-delta] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
@@ -61,8 +54,6 @@ fn parse_args() -> Options {
         batch: 8,
         fast_forward: FastForward::On,
         delta: true,
-        partition_threads: 1,
-        partition_mode: PartitionMode::Barrier,
         compare: false,
         out: PathBuf::from("results/sweep.json"),
         metrics: None,
@@ -90,17 +81,6 @@ fn parse_args() -> Options {
             }
             "--no-fast-forward" => options.fast_forward = FastForward::Off,
             "--no-delta" => options.delta = false,
-            "--partition-threads" => {
-                options.partition_threads =
-                    parsed("--partition-threads", value("--partition-threads")) as usize;
-            }
-            "--partition-mode" => match value("--partition-mode").as_str() {
-                "barrier" => options.partition_mode = PartitionMode::Barrier,
-                "optimistic" => options.partition_mode = PartitionMode::Optimistic,
-                other => usage_error(&format!(
-                    "--partition-mode expects barrier or optimistic, got `{other}`"
-                )),
-            },
             "--compare" => options.compare = true,
             "--out" => options.out = PathBuf::from(value("--out")),
             "--metrics" => options.metrics = Some(PathBuf::from(value("--metrics"))),
@@ -135,8 +115,6 @@ fn main() {
             fast_forward: options.fast_forward,
             telemetry: options.metrics.is_some(),
             delta: options.delta,
-            partition_threads: options.partition_threads,
-            partition_mode: options.partition_mode,
             ..SweepConfig::default()
         },
     );
@@ -148,8 +126,6 @@ fn main() {
             batch_width: options.batch,
             fast_forward: options.fast_forward,
             delta: options.delta,
-            partition_threads: options.partition_threads,
-            partition_mode: options.partition_mode,
             ..SweepConfig::default()
         },
     );
@@ -211,7 +187,6 @@ fn main() {
         ("scenario_count", Json::U64(parallel.scenarios.len() as u64)),
         ("tokens_per_scenario", Json::U64(options.tokens)),
         ("batch_width", Json::U64(options.batch as u64)),
-        ("partition_threads", Json::U64(options.partition_threads as u64)),
         ("parallel_wall_ns", Json::U64(parallel.wall.as_nanos() as u64)),
         ("sequential_wall_ns", Json::U64(sequential.wall.as_nanos() as u64)),
         ("parallel_speedup", Json::F64(speedup)),

@@ -27,7 +27,7 @@ use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
     derive_tdg, BatchUnsupported, BatchedEngine, DeltaCache, DeltaStats, Engine, FastForward,
-    FastForwardStats, ParallelConfig, PeriodicConfig,
+    FastForwardStats, PeriodicConfig,
 };
 use evolve_model::{Architecture, Arrival, ExecRecord, RelationId};
 use evolve_obs::{downcast, TelemetrySink};
@@ -46,11 +46,6 @@ pub struct EngineOptions {
     pub fast_forward: FastForward,
     /// Confirmation window, in detected periods, before promotion.
     pub ff_confirm_periods: u64,
-    /// Partitioned intra-graph parallel evaluation for scalar compiled
-    /// engines (`None` = serial sweep). Applies only above the config's
-    /// own `min_nodes` engagement threshold; lockstep batched engines
-    /// parallelize across lanes instead and ignore this.
-    pub partition: Option<ParallelConfig>,
 }
 
 impl Default for EngineOptions {
@@ -59,7 +54,6 @@ impl Default for EngineOptions {
             record_observations: true,
             fast_forward: FastForward::On,
             ff_confirm_periods: PeriodicConfig::default().confirm_periods,
-            partition: None,
         }
     }
 }
@@ -111,11 +105,6 @@ pub fn prepare(spec: &ModelSpec, options: &EngineOptions) -> PreparedModel {
     let mut engine =
         Engine::with_backend(derived, relation_count, options.record_observations, spec.backend);
     engine.set_fast_forward_with(options.fast_forward, options.periodic_config());
-    if options.partition.is_some() {
-        // `None` must not strip the default runtime a `CompiledParallel`
-        // backend attaches at construction.
-        engine.set_partition(options.partition);
-    }
     let resource_count = arch.platform().len();
     PreparedModel {
         engine,
@@ -311,11 +300,6 @@ pub fn drive_prepared(
         let mut sink = downcast::<TelemetrySink>(ob);
         sink.seal_lanes();
         *tel = Some(sink);
-    }
-    if let Some(sink) = tel.as_deref_mut() {
-        // Per-drive counters: `reset` (engine reuse) restarts them, and a
-        // detached runtime reports all-zero, which merges as a no-op.
-        sink.record_partition(prepared.engine.partition_stats().into());
     }
     let fast_forward = prepared.engine.fast_forward_stats();
     outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);

@@ -55,8 +55,7 @@ use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
     synthetic, BatchedEngine, DeltaCache, DeltaStats, DetectedPeriod, Engine, EngineStats,
-    EvalBackend, FastForward, FastForwardStats, KernelDispatchStats, ParallelConfig,
-    PartitionMode, PeriodicConfig,
+    EvalBackend, FastForward, FastForwardStats, KernelDispatchStats, PeriodicConfig,
 };
 use evolve_des::{SplitMix64, Time};
 use evolve_model::{
@@ -92,7 +91,7 @@ pub enum ModelKind {
     },
     /// A [`Pipeline`](ModelKind::Pipeline) whose padding is spread over
     /// `chains` parallel chains ([`synthetic::pad_wide`]) instead of one
-    /// deep chain — wide levels for the partitioned parallel path.
+    /// deep chain — a shallow, wide schedule.
     WidePipeline {
         /// Pipeline length in functions (≥ 1).
         stages: usize,
@@ -362,14 +361,6 @@ pub struct SweepConfig {
     /// identical either way (`--no-delta` on the sweep binary exists for
     /// A/B timing runs); see `docs/SWEEP.md` for chaining and tuning notes.
     pub delta: bool,
-    /// Partition workers for *intra-graph* parallel evaluation of scalar
-    /// compiled engines (`<= 1` = serial sweep, the default). Engages only
-    /// on graphs above the partition planner's engagement threshold, so
-    /// small models keep the cache-resident serial sweep; outcomes are
-    /// bitwise identical for any setting. See `docs/SWEEP.md`.
-    pub partition_threads: usize,
-    /// Frontier synchronization mode of the partitioned path.
-    pub partition_mode: PartitionMode,
 }
 
 impl Default for SweepConfig {
@@ -385,8 +376,6 @@ impl Default for SweepConfig {
             ff_confirm_periods: PeriodicConfig::default().confirm_periods,
             telemetry: false,
             delta: true,
-            partition_threads: 1,
-            partition_mode: PartitionMode::Barrier,
         }
     }
 }
@@ -429,10 +418,6 @@ pub struct BatchingStats {
     /// Scenarios ejected because [`BatchedEngine`] rejected the graph shape
     /// (multi-input, output acks, long size-derivation delays).
     pub eject_unsupported: u64,
-    /// Scenarios ejected because their model runs the scalar partitioned
-    /// backend ([`EvalBackend::CompiledParallel`]): intra-graph partition
-    /// workers replace cross-lane lockstep for those models.
-    pub eject_partitioned: u64,
 }
 
 impl From<BatchingStats> for evolve_obs::BatchCounters {
@@ -449,7 +434,6 @@ impl From<BatchingStats> for evolve_obs::BatchCounters {
             eject_empty_trace: b.eject_empty_trace,
             eject_single_lane: b.eject_single_lane,
             eject_unsupported: b.eject_unsupported,
-            eject_partitioned: b.eject_partitioned,
         }
     }
 }
@@ -466,7 +450,6 @@ impl BatchingStats {
         self.eject_empty_trace += other.eject_empty_trace;
         self.eject_single_lane += other.eject_single_lane;
         self.eject_unsupported += other.eject_unsupported;
-        self.eject_partitioned += other.eject_partitioned;
     }
 }
 
@@ -944,14 +927,6 @@ fn engine_options(config: &SweepConfig) -> EngineOptions {
         record_observations: config.record_observations,
         fast_forward: config.fast_forward,
         ff_confirm_periods: config.ff_confirm_periods,
-        // Workers stay unpinned under the sweep: its own thread pool (and
-        // the partition scopes of sibling units) shares the host cores.
-        partition: (config.partition_threads >= 2).then(|| ParallelConfig {
-            threads: config.partition_threads,
-            mode: config.partition_mode,
-            pin: false,
-            ..ParallelConfig::default()
-        }),
     }
 }
 
@@ -1161,10 +1136,6 @@ enum ScalarReason {
     EmptyTrace,
     /// The model group's leftover lane after full batches were carved off.
     SingleLane,
-    /// The model runs the scalar partitioned backend
-    /// ([`EvalBackend::CompiledParallel`]); its parallelism is
-    /// intra-graph, not cross-lane.
-    Partitioned,
 }
 
 /// A unit of worker-schedulable work: one scalar scenario, one *or more*
@@ -1281,12 +1252,6 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
                 index,
                 spec,
                 reason: ScalarReason::Worklist,
-            });
-        } else if spec.model.backend == EvalBackend::CompiledParallel {
-            units.push(WorkUnit::Scalar {
-                index,
-                spec,
-                reason: ScalarReason::Partitioned,
             });
         } else if spec.trace.tokens == 0 {
             units.push(WorkUnit::Scalar {
@@ -1533,10 +1498,6 @@ fn count_scalar(
         ScalarReason::SingleLane => {
             stats.eject_single_lane += 1;
             Some(EjectReason::SingleLane)
-        }
-        ScalarReason::Partitioned => {
-            stats.eject_partitioned += 1;
-            Some(EjectReason::Partitioned)
         }
     };
     if let (Some(sink), Some(reason)) = (tel.as_deref_mut(), eject) {

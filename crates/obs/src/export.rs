@@ -147,7 +147,6 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         ("empty_trace", snapshot.batch.eject_empty_trace),
         ("single_lane", snapshot.batch.eject_single_lane),
         ("unsupported", snapshot.batch.eject_unsupported),
-        ("partitioned", snapshot.batch.eject_partitioned),
     ] {
         let _ = writeln!(out, "evolve_batch_ejections_total{{reason=\"{reason}\"}} {value}");
     }
@@ -220,67 +219,6 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
     ] {
         let _ = writeln!(out, "evolve_delta_ejections_total{{reason=\"{reason}\"}} {value}");
     }
-
-    counter(
-        &mut out,
-        "evolve_partition_parallel_iterations_total",
-        "Iterations evaluated by the partitioned parallel sweep",
-        snapshot.partition.parallel_iterations,
-    );
-    counter(
-        &mut out,
-        "evolve_partition_serial_iterations_total",
-        "Serial fast-path iterations while a partition runtime was attached",
-        snapshot.partition.serial_iterations,
-    );
-    gauge(
-        &mut out,
-        "evolve_partition_partitions",
-        "Planned partitions of the largest partition plan seen",
-        snapshot.partition.partitions,
-    );
-    gauge(
-        &mut out,
-        "evolve_partition_planned_barriers",
-        "Levels with a planned barrier in the largest plan seen",
-        snapshot.partition.planned_barriers,
-    );
-    gauge(
-        &mut out,
-        "evolve_partition_frontier_arcs",
-        "Cross-partition zero-delay arcs in the largest plan seen",
-        snapshot.partition.frontier_arcs,
-    );
-    counter(
-        &mut out,
-        "evolve_partition_barrier_crossings_total",
-        "Spin-barrier crossings executed, summed over workers",
-        snapshot.partition.barrier_crossings,
-    );
-    counter(
-        &mut out,
-        "evolve_partition_speculative_reads_total",
-        "Optimistic cross-partition reads served from the frontier cache",
-        snapshot.partition.speculative_reads,
-    );
-    counter(
-        &mut out,
-        "evolve_partition_speculation_misses_total",
-        "Speculative reads whose cached value turned out stale",
-        snapshot.partition.speculation_misses,
-    );
-    counter(
-        &mut out,
-        "evolve_partition_rollbacks_total",
-        "Iterations that ran the rollback pass",
-        snapshot.partition.rollbacks,
-    );
-    counter(
-        &mut out,
-        "evolve_partition_slots_recomputed_total",
-        "Slots recomputed by rollback change propagation",
-        snapshot.partition.slots_recomputed,
-    );
 
     counter(
         &mut out,

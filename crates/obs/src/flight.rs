@@ -1,18 +1,20 @@
-//! An always-on host-time flight recorder for the serving and partition
-//! layers.
+//! An always-on host-time flight recorder for the serving layer.
 //!
 //! [`FlightRecorder`] keeps the last N lifecycle spans per *track* (one
-//! track per serve shard, one per partition worker) in bounded,
-//! lock-free ring buffers, so a live daemon can answer "where did this
-//! request's time go?" at any moment without ever blocking the hot path:
+//! track per serve shard) in bounded, lock-free ring buffers, so a live
+//! daemon can answer "where did this request's time go?" at any moment
+//! without ever blocking the hot path:
 //!
 //! - writers are wait-free: each track has exactly **one writer thread**
-//!   (the shard loop, or one scoped partition worker), which publishes a
-//!   span with plain atomic stores guarded by a per-slot sequence word;
+//!   (the shard loop), which publishes a span with plain atomic stores
+//!   guarded by a per-slot sequence word;
 //! - readers (a `Dump` protocol request, a SIGUSR1 handler, shutdown)
 //!   walk the rings concurrently and *discard* any slot whose sequence
 //!   word changed underneath them — the oldest spans are evicted by
-//!   wrap-around, never torn;
+//!   wrap-around, never torn. A reader copies newest-first, the slots
+//!   furthest from the writer's next overwrite, and re-snapshots the
+//!   head a bounded number of times when a hot writer lapped a whole
+//!   pass, so a dump taken during a burst still returns spans;
 //! - every recorded span also feeds a per-[`Phase`] [`LogHistogram`], so
 //!   the same subsystem powers the `evolve_serve_phase_seconds`
 //!   Prometheus families and p50/p95/p99 JSON summaries.
@@ -23,15 +25,19 @@
 //! uniquely identifies *which* span occupies the slot — a reader accepts
 //! a slot only when both sequence reads around the field loads equal the
 //! expected even value for that ticket. All accesses are plain atomics
-//! (this crate forbids `unsafe`); a lost span under extreme wrap pressure
-//! degrades the diagnostic trace, never the evaluation.
+//! (this crate forbids `unsafe`). The field stores and loads are
+//! `Relaxed`; a release fence after the writer's odd store pairs with an
+//! acquire fence before the reader's second sequence load, so a reader
+//! that saw any field of a newer write also sees the odd (or a newer)
+//! sequence and discards the slot. A lost span under extreme wrap
+//! pressure degrades the diagnostic trace, never the evaluation.
 //!
 //! The export is Chrome trace-event JSON (process id 3, one thread per
 //! track), loadable in Perfetto next to the observation-time and
 //! host-time tracks of [`TraceCollector`](crate::TraceCollector).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::Json;
@@ -45,17 +51,18 @@ const PID_FLIGHT: u64 = 3;
 /// packed phase/label, argument.
 const SLOT_WORDS: usize = 6;
 
+/// Passes a dump makes over one track before giving up on it: a pass that
+/// accepted no span (the writer lapped it) re-snapshots the head and
+/// retries.
+const READ_ATTEMPTS: usize = 32;
+
 /// Cap on interned labels: lookup is a linear scan under a lock, and
 /// hostile clients can mint label strings (named-model ids), so the
 /// table must stay small and bounded.
 pub const MAX_LABELS: usize = 1024;
 
-/// A request-lifecycle (or partition-sweep) phase.
-///
-/// The first six phases are the serving pipeline a request traverses in
-/// order; the last three are emitted by the partitioned intra-graph
-/// sweep (`crates/core/src/parallel.rs` workers) so speculation waste is
-/// visible per worker and per level.
+/// A request-lifecycle phase: the serving pipeline a request traverses,
+/// in order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Phase {
@@ -71,16 +78,10 @@ pub enum Phase {
     Encode = 4,
     /// Response frame write on the client socket.
     Write = 5,
-    /// One per-worker, per-level partition sweep.
-    Sweep = 6,
-    /// Speculation validation after a partitioned iteration.
-    Validate = 7,
-    /// Rollback recomputation of misspeculated slots.
-    Rollback = 8,
 }
 
 /// Number of phases (and per-phase histograms).
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 6;
 
 impl Phase {
     /// All phases, in pipeline order.
@@ -91,9 +92,6 @@ impl Phase {
         Phase::Eval,
         Phase::Encode,
         Phase::Write,
-        Phase::Sweep,
-        Phase::Validate,
-        Phase::Rollback,
     ];
 
     /// Stable lowercase name, used as the Prometheus `phase` label and
@@ -106,9 +104,6 @@ impl Phase {
             Phase::Eval => "eval",
             Phase::Encode => "encode",
             Phase::Write => "write",
-            Phase::Sweep => "sweep",
-            Phase::Validate => "validate",
-            Phase::Rollback => "rollback",
         }
     }
 
@@ -147,7 +142,7 @@ pub struct FlightSpan {
     pub dur_ns: u64,
     /// Interned label id (0 = none); see [`FlightRecorder::intern`].
     pub label: u32,
-    /// Phase-specific argument (lane count, level index, …).
+    /// Phase-specific argument (lane count, …).
     pub arg: u64,
 }
 
@@ -212,7 +207,7 @@ impl FlightRecorder {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Registers a named track (e.g. `"shard-0"`, `"shard-0/worker-1"`)
+    /// Registers a named track (e.g. `"shard-0"`)
     /// and returns its handle. At most one thread may record on a track
     /// at a time. Returns [`TrackId::INVALID`] (a no-op handle) when the
     /// table is full.
@@ -266,7 +261,11 @@ impl FlightRecorder {
         let base = (ticket as usize & (self.capacity - 1)) * SLOT_WORDS;
         // Odd sequence: slot in flight. Readers racing with this write
         // see the odd value (or a mismatched even one) and skip the slot.
-        ring.slots[base].store(ticket.wrapping_mul(2) + 1, Ordering::Release);
+        ring.slots[base].store(ticket.wrapping_mul(2) + 1, Ordering::Relaxed);
+        // Orders the odd store before the field stores: a reader whose
+        // field load sees this write also sees the odd sequence after its
+        // acquire fence.
+        fence(Ordering::Release);
         ring.slots[base + 1].store(corr, Ordering::Relaxed);
         ring.slots[base + 2].store(start_ns, Ordering::Relaxed);
         ring.slots[base + 3].store(dur_ns, Ordering::Relaxed);
@@ -283,37 +282,55 @@ impl FlightRecorder {
     pub fn spans(&self) -> Vec<FlightSpan> {
         let mut out = Vec::new();
         for (track, ring) in self.rings.iter().enumerate() {
-            let head = ring.head.load(Ordering::Acquire);
-            let lo = head.saturating_sub(self.capacity as u64);
-            for ticket in lo..head {
-                let base = (ticket as usize & (self.capacity - 1)) * SLOT_WORDS;
-                let expected = ticket.wrapping_add(1).wrapping_mul(2);
-                if ring.slots[base].load(Ordering::Acquire) != expected {
-                    continue;
+            for _ in 0..READ_ATTEMPTS {
+                let head = ring.head.load(Ordering::Acquire);
+                let lo = head.saturating_sub(self.capacity as u64);
+                let first = out.len();
+                // Newest first: the writer overwrites oldest first, so once
+                // one slot fails its check every older one is lost too.
+                for ticket in (lo..head).rev() {
+                    let Some(span) = self.read_slot(ring, track as u16, ticket) else {
+                        break;
+                    };
+                    out.push(span);
                 }
-                let corr = ring.slots[base + 1].load(Ordering::Acquire);
-                let start_ns = ring.slots[base + 2].load(Ordering::Acquire);
-                let dur_ns = ring.slots[base + 3].load(Ordering::Acquire);
-                let meta = ring.slots[base + 4].load(Ordering::Acquire);
-                let arg = ring.slots[base + 5].load(Ordering::Acquire);
-                if ring.slots[base].load(Ordering::Acquire) != expected {
-                    continue;
+                out[first..].reverse();
+                if out.len() > first || head == 0 {
+                    break;
                 }
-                let Some(phase) = Phase::from_u8((meta & 0xff) as u8) else {
-                    continue;
-                };
-                out.push(FlightSpan {
-                    track: track as u16,
-                    phase,
-                    corr,
-                    start_ns,
-                    dur_ns,
-                    label: (meta >> 8) as u32,
-                    arg,
-                });
             }
         }
         out
+    }
+
+    /// Reads ticket `ticket`'s span from `ring`, or `None` when the slot
+    /// no longer (or not yet) holds exactly that published span.
+    fn read_slot(&self, ring: &Ring, track: u16, ticket: u64) -> Option<FlightSpan> {
+        let base = (ticket as usize & (self.capacity - 1)) * SLOT_WORDS;
+        let expected = ticket.wrapping_add(1).wrapping_mul(2);
+        if ring.slots[base].load(Ordering::Acquire) != expected {
+            return None;
+        }
+        let corr = ring.slots[base + 1].load(Ordering::Relaxed);
+        let start_ns = ring.slots[base + 2].load(Ordering::Relaxed);
+        let dur_ns = ring.slots[base + 3].load(Ordering::Relaxed);
+        let meta = ring.slots[base + 4].load(Ordering::Relaxed);
+        let arg = ring.slots[base + 5].load(Ordering::Relaxed);
+        // Pairs with the writer's release fence: orders the field loads
+        // before the sequence re-check.
+        fence(Ordering::Acquire);
+        if ring.slots[base].load(Ordering::Relaxed) != expected {
+            return None;
+        }
+        Some(FlightSpan {
+            track,
+            phase: Phase::from_u8((meta & 0xff) as u8)?,
+            corr,
+            start_ns,
+            dur_ns,
+            label: (meta >> 8) as u32,
+            arg,
+        })
     }
 
     /// Per-phase duration histograms (nanosecond samples), in
@@ -431,25 +448,11 @@ impl PhaseHistogram {
     }
 }
 
-/// The recorder handle an [`Engine`](../../evolve_core/struct.Engine.html)
-/// carries so partition workers can emit per-level `sweep` /
-/// `validate` / `rollback` spans: the shared recorder, one pre-registered
-/// track per partition worker, and the correlation id of the request
-/// currently being evaluated.
-#[derive(Clone, Debug)]
-pub struct PartitionTracer {
-    /// The shared recorder.
-    pub recorder: Arc<FlightRecorder>,
-    /// One track per partition worker index (worker `p` records on
-    /// `tracks[p]`; missing entries record nothing).
-    pub tracks: Vec<TrackId>,
-    /// Correlation id stamped on emitted spans (0 outside a request).
-    pub corr: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     #[test]
     fn records_and_reads_back_spans() {
@@ -485,29 +488,53 @@ mod tests {
 
     #[test]
     fn concurrent_dump_never_tears_spans() {
-        // One writer hammering a tiny ring, one reader dumping in a loop:
-        // every span the reader accepts must be self-consistent (the
-        // writer always stores corr == arg == start_ns / 10).
+        // One writer hammering a tiny ring, one reader dumping until the
+        // writer is done: every span the reader accepts must be
+        // self-consistent (the writer always stores corr == arg ==
+        // start_ns / 10), and every dump taken while the writer runs
+        // (once it has published a span) must return spans. The writer
+        // keeps going until the reader has taken a minimum number of such
+        // dumps, so a writer that finishes within one scheduler slice
+        // cannot end the race before it starts.
+        const MIN_DUMPS: usize = 200;
         let rec = Arc::new(FlightRecorder::new(1, 8));
+        let dumps = Arc::new(AtomicUsize::new(0));
         let track = rec.register_track("w");
         let writer = {
             let rec = Arc::clone(&rec);
+            let dumps = Arc::clone(&dumps);
             std::thread::spawn(move || {
-                for i in 0..50_000u64 {
-                    rec.record(track, Phase::Sweep, i, i * 10, i * 10 + 1, 0, i);
+                let mut i = 0u64;
+                while i < 50_000 || dumps.load(Ordering::Relaxed) < MIN_DUMPS {
+                    rec.record(track, Phase::Eval, i, i * 10, i * 10 + 1, 0, i);
+                    i += 1;
                 }
             })
         };
-        let mut seen = 0usize;
-        for _ in 0..200 {
-            for span in rec.spans() {
+        let (mut live_dumps, mut empty_live_dumps) = (0usize, 0usize);
+        loop {
+            let writing = !writer.is_finished();
+            let published = rec.rings[0].head.load(Ordering::Acquire) > 0;
+            let spans = rec.spans();
+            for span in &spans {
                 assert_eq!(span.corr, span.arg, "torn span: corr/arg mismatch");
                 assert_eq!(span.start_ns, span.corr * 10, "torn span: start mismatch");
-                seen += 1;
+            }
+            if !writing {
+                break;
+            }
+            if published {
+                live_dumps += 1;
+                empty_live_dumps += usize::from(spans.is_empty());
+                dumps.fetch_add(1, Ordering::Relaxed);
             }
         }
         writer.join().expect("writer");
-        assert!(seen > 0, "reader never observed a stable span");
+        assert!(live_dumps > 0, "no dump overlapped the writer");
+        assert_eq!(
+            empty_live_dumps, 0,
+            "{empty_live_dumps} of {live_dumps} dumps during writing came back empty"
+        );
     }
 
     #[test]

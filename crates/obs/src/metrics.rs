@@ -347,8 +347,6 @@ pub struct BatchCounters {
     pub eject_single_lane: u64,
     /// Lanes ejected: batched engine rejected the graph shape.
     pub eject_unsupported: u64,
-    /// Lanes ejected: model runs the scalar partitioned backend.
-    pub eject_partitioned: u64,
 }
 
 impl BatchCounters {
@@ -365,7 +363,6 @@ impl BatchCounters {
         self.eject_empty_trace += other.eject_empty_trace;
         self.eject_single_lane += other.eject_single_lane;
         self.eject_unsupported += other.eject_unsupported;
-        self.eject_partitioned += other.eject_partitioned;
     }
 }
 
@@ -422,52 +419,6 @@ impl DeltaCounters {
         self.eject_output_acks += other.eject_output_acks;
         self.eject_worklist += other.eject_worklist;
         self.eject_structure_mismatch += other.eject_structure_mismatch;
-    }
-}
-
-/// Partitioned-parallel-evaluation counters — the obs-side mirror of the
-/// engine's `PartitionStats` (`evolve-core` provides
-/// `From<PartitionStats>`). The plan-shape fields (`partitions`,
-/// `planned_barriers`, `frontier_arcs`) are gauges and merge by max; the
-/// rest are cumulative and add.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PartitionCounters {
-    /// Iterations evaluated by the partitioned parallel sweep.
-    pub parallel_iterations: u64,
-    /// Fast-path iterations that ran serially while a partition runtime
-    /// was attached (delta hits, graphs under the engagement threshold).
-    pub serial_iterations: u64,
-    /// Planned partitions (largest plan seen).
-    pub partitions: u64,
-    /// Levels with a planned barrier (largest plan seen).
-    pub planned_barriers: u64,
-    /// Cross-partition zero-delay arcs in the plan (largest plan seen).
-    pub frontier_arcs: u64,
-    /// Spin-barrier crossings executed, summed over workers.
-    pub barrier_crossings: u64,
-    /// Optimistic cross-partition reads served from the frontier cache.
-    pub speculative_reads: u64,
-    /// Speculative reads whose cached value turned out stale.
-    pub speculation_misses: u64,
-    /// Iterations that ran the rollback pass.
-    pub rollbacks: u64,
-    /// Slots recomputed by rollback change propagation.
-    pub slots_recomputed: u64,
-}
-
-impl PartitionCounters {
-    /// Folds `other` into this counter set (plan gauges take the max).
-    pub fn merge(&mut self, other: &PartitionCounters) {
-        self.parallel_iterations += other.parallel_iterations;
-        self.serial_iterations += other.serial_iterations;
-        self.partitions = self.partitions.max(other.partitions);
-        self.planned_barriers = self.planned_barriers.max(other.planned_barriers);
-        self.frontier_arcs = self.frontier_arcs.max(other.frontier_arcs);
-        self.barrier_crossings += other.barrier_crossings;
-        self.speculative_reads += other.speculative_reads;
-        self.speculation_misses += other.speculation_misses;
-        self.rollbacks += other.rollbacks;
-        self.slots_recomputed += other.slots_recomputed;
     }
 }
 
@@ -577,8 +528,6 @@ pub struct TelemetrySink {
     pub batch: BatchCounters,
     /// Delta-evaluation counters (recorded by the sweep layer).
     pub delta: DeltaCounters,
-    /// Partitioned-parallel counters (recorded by the driving layer).
-    pub partition: PartitionCounters,
     /// Serving-layer counters (recorded by the serve daemon's shards).
     pub serve: ServeCounters,
     /// Lifecycle event counts.
@@ -620,11 +569,6 @@ impl TelemetrySink {
         self.delta.merge(&counters);
     }
 
-    /// Folds partitioned-parallel counters into the sink.
-    pub fn record_partition(&mut self, counters: PartitionCounters) {
-        self.partition.merge(&counters);
-    }
-
     /// Folds serving-layer counters into the sink.
     pub fn record_serve(&mut self, counters: ServeCounters) {
         self.serve.merge(&counters);
@@ -658,7 +602,6 @@ impl TelemetrySink {
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
         self.delta.merge(&other.delta);
-        self.partition.merge(&other.partition);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
         self.regimes.extend(other.regimes);
@@ -692,7 +635,6 @@ impl TelemetrySink {
             ff: self.ff,
             batch: self.batch,
             delta: self.delta,
-            partition: self.partition,
             serve: self.serve,
             events: self.events,
             regimes: self.regimes.clone(),
@@ -780,7 +722,7 @@ pub struct ResourceSnapshot {
     pub durations: LogHistogram,
 }
 
-/// One serving/partition lifecycle phase's latency histogram
+/// One serving lifecycle phase's latency histogram
 /// (nanosecond samples), fed by the flight recorder
 /// ([`crate::flight::FlightRecorder::phase_snapshots`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -815,8 +757,6 @@ pub struct MetricsSnapshot {
     pub batch: BatchCounters,
     /// Delta-evaluation counters.
     pub delta: DeltaCounters,
-    /// Partitioned-parallel counters.
-    pub partition: PartitionCounters,
     /// Serving-layer counters.
     pub serve: ServeCounters,
     /// Lifecycle event counts.
@@ -866,7 +806,6 @@ impl MetricsSnapshot {
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
         self.delta.merge(&other.delta);
-        self.partition.merge(&other.partition);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
         self.regimes.extend(other.regimes.iter().copied());
@@ -989,7 +928,6 @@ impl MetricsSnapshot {
                     ("eject_empty_trace", Json::U64(self.batch.eject_empty_trace)),
                     ("eject_single_lane", Json::U64(self.batch.eject_single_lane)),
                     ("eject_unsupported", Json::U64(self.batch.eject_unsupported)),
-                    ("eject_partitioned", Json::U64(self.batch.eject_partitioned)),
                 ]),
             ),
             (
@@ -1013,42 +951,6 @@ impl MetricsSnapshot {
                     (
                         "eject_structure_mismatch",
                         Json::U64(self.delta.eject_structure_mismatch),
-                    ),
-                ]),
-            ),
-            (
-                "partition",
-                Json::object([
-                    (
-                        "parallel_iterations",
-                        Json::U64(self.partition.parallel_iterations),
-                    ),
-                    (
-                        "serial_iterations",
-                        Json::U64(self.partition.serial_iterations),
-                    ),
-                    ("partitions", Json::U64(self.partition.partitions)),
-                    (
-                        "planned_barriers",
-                        Json::U64(self.partition.planned_barriers),
-                    ),
-                    ("frontier_arcs", Json::U64(self.partition.frontier_arcs)),
-                    (
-                        "barrier_crossings",
-                        Json::U64(self.partition.barrier_crossings),
-                    ),
-                    (
-                        "speculative_reads",
-                        Json::U64(self.partition.speculative_reads),
-                    ),
-                    (
-                        "speculation_misses",
-                        Json::U64(self.partition.speculation_misses),
-                    ),
-                    ("rollbacks", Json::U64(self.partition.rollbacks)),
-                    (
-                        "slots_recomputed",
-                        Json::U64(self.partition.slots_recomputed),
                     ),
                 ]),
             ),

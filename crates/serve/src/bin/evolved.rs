@@ -33,8 +33,6 @@ OPTIONS:
     --max-connections N      concurrent connection cap [default: 1024]
     --write-timeout-ms N     response write timeout, 0 = none [default: 5000]
     --max-trace-tokens N     generated-trace arrivals cap [default: 524288]
-    --partition-threads N    intra-graph partition workers for large scalar
-                             lanes, <= 1 = serial sweep [default: 1]
     --trace-out PATH         write a Chrome-trace JSON dump of the flight
                              recorder on SIGUSR1 and at shutdown
     --flight-spans N         flight-recorder ring capacity per track, rounded
@@ -109,10 +107,6 @@ fn main() -> ExitCode {
             },
             "--max-trace-tokens" => match value("--max-trace-tokens").and_then(parse_u64) {
                 Ok(v) => config.max_trace_tokens = v,
-                Err(e) => return fail(&e),
-            },
-            "--partition-threads" => match value("--partition-threads").and_then(parse_usize) {
-                Ok(v) => config.partition_threads = v,
                 Err(e) => return fail(&e),
             },
             "--trace-out" => match value("--trace-out") {

@@ -298,7 +298,6 @@ fn put_model(buf: &mut Vec<u8>, spec: &ModelSpec) {
     put_u8(buf, match spec.backend {
         EvalBackend::Compiled => 0,
         EvalBackend::Worklist => 1,
-        EvalBackend::CompiledParallel => 2,
     });
 }
 
@@ -501,7 +500,7 @@ impl<'a> Cursor<'a> {
         let backend = match self.u8()? {
             0 => EvalBackend::Compiled,
             1 => EvalBackend::Worklist,
-            2 => EvalBackend::CompiledParallel,
+            // Tag 2 is retired (a removed backend) and never reused.
             t => return Err(WireError::UnknownTag(t)),
         };
         Ok(ModelSpec {

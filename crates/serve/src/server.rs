@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evolve_core::{kernel, EvalBackend, FastForward, ParallelConfig, PeriodicConfig};
+use evolve_core::{kernel, EvalBackend, FastForward, PeriodicConfig};
 use evolve_explore::cache::EngineOptions;
 use evolve_explore::{ModelKind, ModelSpec};
 use evolve_obs::{prometheus, FlightRecorder, MetricsSnapshot, ServeGauges};
@@ -78,10 +78,6 @@ pub struct ServeConfig {
     pub naive: bool,
     /// Attach per-shard telemetry sinks (feeds `/metrics`).
     pub telemetry: bool,
-    /// Partition workers for intra-graph parallel evaluation of scalar
-    /// compiled lanes (`<= 1` = serial sweep, the default). Large ejected
-    /// models sweep level-parallel; lockstep batches are unaffected.
-    pub partition_threads: usize,
     /// Always-on request-lifecycle flight recorder (per-shard span rings
     /// + per-phase latency histograms). Disable to measure its cost.
     pub flight_recorder: bool,
@@ -111,7 +107,6 @@ impl Default for ServeConfig {
             delta: true,
             naive: false,
             telemetry: true,
-            partition_threads: 1,
             flight_recorder: true,
             flight_spans: 1024,
         }
@@ -126,13 +121,6 @@ impl ServeConfig {
             record_observations: self.record_observations,
             fast_forward: self.fast_forward,
             ff_confirm_periods: self.ff_confirm_periods,
-            // Shards already pin themselves to cores; partition workers
-            // stay unpinned inside a shard's slice of the host.
-            partition: (self.partition_threads >= 2).then(|| ParallelConfig {
-                threads: self.partition_threads,
-                pin: false,
-                ..ParallelConfig::default()
-            }),
         }
     }
 }
@@ -255,13 +243,11 @@ impl Server {
         let cfg = Arc::new(config);
         let shutdown = Arc::new(AtomicBool::new(false));
         let shard_count = cfg.shards.max(1);
-        // One track per shard loop plus one per partition worker; the
-        // table is sized exactly, so registration can never overflow
-        // into the no-op handle.
-        let flight = cfg.flight_recorder.then(|| {
-            let workers = if cfg.partition_threads >= 2 { cfg.partition_threads } else { 0 };
-            Arc::new(FlightRecorder::new(shard_count * (1 + workers), cfg.flight_spans))
-        });
+        // One track per shard loop; the table is sized exactly, so
+        // registration can never overflow into the no-op handle.
+        let flight = cfg
+            .flight_recorder
+            .then(|| Arc::new(FlightRecorder::new(shard_count, cfg.flight_spans)));
         let shards: Vec<ShardHandle> = (0..shard_count)
             .map(|i| spawn_shard(i, Arc::clone(&cfg), flight.clone()))
             .collect();

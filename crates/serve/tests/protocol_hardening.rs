@@ -337,3 +337,59 @@ fn malformed_frames_get_typed_error_responses() {
     assert_eq!(pong, Response::Pong { nonce: 1 });
     server.shutdown_and_join();
 }
+
+/// Backend wire tag 2 is retired: an `Eval` carrying it decodes to
+/// `UnknownTag(2)`, the daemon answers with a typed Error, and the same
+/// connection keeps serving.
+#[test]
+fn retired_backend_tag_gets_typed_error_response() {
+    let eval = |backend| {
+        encode_request(&Request::Eval(EvalRequest {
+            id: 7,
+            model: ModelRef::Inline(ModelSpec {
+                kind: ModelKind::Didactic { stages: 1 },
+                padding: 0,
+                backend,
+            }),
+            trace: TracePayload::Offers(vec![(0, 8)]),
+        }))
+    };
+    // The two live backends differ in exactly the backend byte.
+    let (compiled, worklist) = (eval(EvalBackend::Compiled), eval(EvalBackend::Worklist));
+    let at: Vec<usize> = (0..compiled.len())
+        .filter(|&i| compiled[i] != worklist[i])
+        .collect();
+    assert_eq!(at.len(), 1, "backend tag position");
+    let mut retired = compiled;
+    retired[at[0]] = 2;
+    assert_eq!(decode_request(&retired), Err(WireError::UnknownTag(2)));
+
+    let server = Server::start(
+        ServeConfig {
+            shards: 1,
+            batch_width: 1,
+            ..ServeConfig::default()
+        },
+        &[Bind::Tcp("127.0.0.1:0".into())],
+        None,
+    )
+    .unwrap();
+    let mut conn = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+    let ping = encode_request(&Request::Ping { nonce: 3 });
+    for frame in [&retired, &ping] {
+        conn.write_all(&(frame.len() as u32).to_le_bytes()).unwrap();
+        conn.write_all(frame).unwrap();
+    }
+    let first = evolve_serve::protocol::read_frame(&mut conn, 4096)
+        .unwrap()
+        .expect("error response expected");
+    assert!(matches!(
+        decode_response(&first),
+        Ok(Response::Error { .. })
+    ));
+    let second = evolve_serve::protocol::read_frame(&mut conn, 4096)
+        .unwrap()
+        .expect("pong expected");
+    assert_eq!(decode_response(&second), Ok(Response::Pong { nonce: 3 }));
+    server.shutdown_and_join();
+}
