@@ -23,10 +23,11 @@
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    derive_tdg, kernel, simplify, synthetic, BatchedEngine, Engine, EngineStats,
+    derive_tdg, simplify, synthetic, BatchedEngine, Engine, EngineStats,
     EquivalentModelBuilder, EvalBackend, FastForward,
 };
 use evolve_des::Time;
+pub use evolve_explore::host_json;
 use evolve_explore::{Json, SweepReport};
 use evolve_model::{elaborate, Architecture, Environment};
 
@@ -226,11 +227,7 @@ pub fn sweep_measurements(report: &SweepReport) -> Vec<Measurement> {
 pub fn total_engine_stats(measurements: &[Measurement]) -> EngineStats {
     let mut total = EngineStats::default();
     for m in measurements {
-        total.nodes_computed += m.engine_stats.nodes_computed;
-        total.arcs_evaluated += m.engine_stats.arcs_evaluated;
-        total.iterations_completed += m.engine_stats.iterations_completed;
-        total.lanes_evaluated += m.engine_stats.lanes_evaluated;
-        total.batched_iterations += m.engine_stats.batched_iterations;
+        total.merge(&m.engine_stats);
     }
     total
 }
@@ -308,9 +305,9 @@ fn drive_iterations(engine: &mut Engine, iterations: u64) -> (HostDuration, u64)
 /// backends, on padded synthetic pipelines (the Fig. 5 graphs).
 ///
 /// `budget` bounds total work per point: each point runs
-/// `(budget / nodes).clamp(500, 200_000)` iterations, `reps` repetitions
-/// per backend, keeping the fastest (minimum wall time is the standard
-/// noise-robust estimator for deterministic workloads). Engines run with
+/// `(budget / nodes).clamp(500, 200_000)` iterations, `reps` interleaved
+/// repetitions per backend, keeping the fastest (minimum wall time is the
+/// standard noise-robust estimator for deterministic workloads). Engines run with
 /// observation replay off, so the measurement is the pure instant
 /// propagation the backends differ on. Output checksums are compared
 /// across backends as a built-in conformance check.
@@ -334,19 +331,21 @@ pub fn backend_grid(targets: &[usize], budget: u64, reps: usize) -> Vec<BackendP
             let relations = p.arch.app().relations().len();
             let iterations = (budget / nodes.max(1) as u64).clamp(500, 200_000);
 
+            // Repetitions alternate the backends (and which one goes
+            // first), so a host speed-state change mid-point shifts both
+            // best-of-reps figures alike instead of skewing their ratio.
+            let mut engines = [EvalBackend::Worklist, EvalBackend::Compiled]
+                .map(|backend| Engine::with_backend(derived.clone(), relations, false, backend));
             let mut best = [f64::INFINITY; 2];
             let mut checksums = [0u64; 2];
-            for (slot, backend) in [EvalBackend::Worklist, EvalBackend::Compiled]
-                .into_iter()
-                .enumerate()
-            {
-                let mut engine =
-                    Engine::with_backend(derived.clone(), relations, false, backend);
-                for rep in 0..reps {
+            for rep in 0..reps {
+                let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
+                for slot in order {
+                    let engine = &mut engines[slot];
                     if rep > 0 {
                         engine.reset();
                     }
-                    let (wall, checksum) = drive_iterations(&mut engine, iterations);
+                    let (wall, checksum) = drive_iterations(engine, iterations);
                     checksums[slot] = checksum;
                     best[slot] = best[slot].min(wall.as_secs_f64() * 1e9 / iterations as f64);
                 }
@@ -637,12 +636,25 @@ pub fn batch_grid(
             *checksum = drive_iterations_sized(&mut engine, iterations, lane_size(slot)).1;
         }
 
-        for &width in widths {
-            assert!(width > 0, "batch width must be at least one lane");
-            let mut engine = BatchedEngine::try_new(derived.clone(), relations, false, width)
-                .expect("padded pipelines are batchable");
-            let mut best = f64::INFINITY;
-            for rep in 0..reps {
+        // Repetitions alternate the widths (and their order), as in
+        // `backend_grid`, so a host speed-state change shifts every
+        // width's best-of-reps figure alike instead of skewing the gains.
+        let mut engines: Vec<BatchedEngine> = widths
+            .iter()
+            .map(|&width| {
+                assert!(width > 0, "batch width must be at least one lane");
+                BatchedEngine::try_new(derived.clone(), relations, false, width)
+                    .expect("padded pipelines are batchable")
+            })
+            .collect();
+        let mut best = vec![f64::INFINITY; widths.len()];
+        for rep in 0..reps {
+            let mut order: Vec<usize> = (0..widths.len()).collect();
+            if rep % 2 == 1 {
+                order.reverse();
+            }
+            for slot in order {
+                let (width, engine) = (widths[slot], &mut engines[slot]);
                 if rep > 0 {
                     engine.reset(width);
                 }
@@ -668,40 +680,20 @@ pub fn batch_grid(
                         "lane {l} diverged from the scalar engine at {nodes} nodes width {width}"
                     );
                 }
-                best = best
+                best[slot] = best[slot]
                     .min(wall.as_secs_f64() * 1e9 / (iterations as f64 * width as f64));
             }
+        }
+        for (&width, ns_per_lane_iter) in widths.iter().zip(best) {
             out.push(BatchPoint {
                 nodes,
                 width,
                 iterations,
-                ns_per_lane_iter: best,
+                ns_per_lane_iter,
             });
         }
     }
     out
-}
-
-/// The host a benchmark artifact was measured on: available cores, the
-/// fold-kernel SIMD level ([`kernel::simd_level`]), and the build profile.
-/// Every bench JSON writer embeds it as its `host` object, so a number's
-/// provenance travels with it.
-pub fn host_json() -> Json {
-    Json::object([
-        (
-            "cores",
-            Json::U64(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
-        ),
-        ("simd_level", Json::str(kernel::simd_level())),
-        (
-            "profile",
-            Json::str(if cfg!(debug_assertions) {
-                "debug"
-            } else {
-                "release"
-            }),
-        ),
-    ])
 }
 
 /// Renders backend-grid points (and, when non-empty, the batch-width,
@@ -890,7 +882,7 @@ mod tests {
         };
         let host = format!(
             "\"host\":{{\"cores\":{cores},\"simd_level\":\"{}\",\"profile\":\"{profile}\"}}",
-            kernel::simd_level()
+            evolve_core::kernel::simd_level()
         );
         assert!(rendered.contains(&host), "{rendered}");
     }

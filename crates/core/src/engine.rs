@@ -98,37 +98,9 @@ pub struct AllocationFootprint {
     pub lane_padding_elements: usize,
 }
 
-/// Computation statistics of an engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Nodes computed across all iterations.
-    pub nodes_computed: u64,
-    /// Arc-weight evaluations performed.
-    pub arcs_evaluated: u64,
-    /// Iterations fully computed.
-    pub iterations_completed: u64,
-    /// Scenario lanes this engine has evaluated. Always `0` for the scalar
-    /// [`Engine`] and for per-lane views; the batched engine's aggregate
-    /// counters ([`BatchedEngine::stats`](crate::BatchedEngine::stats))
-    /// report the number of lanes started here.
-    pub lanes_evaluated: u64,
-    /// Lockstep batched sweeps performed (one per
-    /// [`set_input_batch`](crate::BatchedEngine::set_input_batch) call,
-    /// covering every active lane). `0` for the scalar engine.
-    pub batched_iterations: u64,
-}
-
-impl From<EngineStats> for evolve_obs::EngineCounters {
-    fn from(s: EngineStats) -> Self {
-        evolve_obs::EngineCounters {
-            nodes_computed: s.nodes_computed,
-            arcs_evaluated: s.arcs_evaluated,
-            iterations_completed: s.iterations_completed,
-            lanes_evaluated: s.lanes_evaluated,
-            batched_iterations: s.batched_iterations,
-        }
-    }
-}
+/// Computation statistics of an engine: the telemetry layer's engine
+/// counter family, declared once in `evolve-obs`.
+pub use evolve_obs::EngineCounters as EngineStats;
 
 /// Per-iteration evaluation state (recycled through a free list).
 struct IterState {

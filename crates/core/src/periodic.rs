@@ -60,6 +60,7 @@ use std::collections::VecDeque;
 use evolve_des::{Duration, Time};
 use evolve_maxplus::{max_cycle_mean, CycleMean, MaxPlus, Vector};
 use evolve_model::{FunctionId, ResourceId};
+use evolve_obs::FfCounters;
 
 use crate::error::EngineError;
 use crate::tdg::Tdg;
@@ -117,15 +118,13 @@ pub struct DetectedPeriod {
     pub period: u64,
 }
 
-/// Fast-forward counters of one engine (or one batch lane).
+/// Fast-forward statistics of one engine (or one batch lane): the
+/// telemetry layer's fast-forward counter family plus the detected regime.
+/// Dereferences to the counters, so `stats.promotions` reads through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FastForwardStats {
-    /// Times the detector promoted to fast-forward replay.
-    pub promotions: u64,
-    /// Times a pattern-breaking offer demoted back to the compiled sweep.
-    pub demotions: u64,
-    /// Iterations answered by template replay instead of a schedule sweep.
-    pub fast_forwarded_iterations: u64,
+    /// Promotion, demotion and replayed-iteration counters.
+    pub counters: FfCounters,
     /// The most recently detected regime, if any.
     pub detected: Option<DetectedPeriod>,
 }
@@ -134,22 +133,24 @@ impl FastForwardStats {
     /// Folds another stats snapshot into this one (histogram-style: keeps
     /// the other's detection if this one has none).
     pub fn merge(&mut self, other: &FastForwardStats) {
-        self.promotions += other.promotions;
-        self.demotions += other.demotions;
-        self.fast_forwarded_iterations += other.fast_forwarded_iterations;
+        self.counters.merge(&other.counters);
         if self.detected.is_none() {
             self.detected = other.detected;
         }
     }
 }
 
-impl From<FastForwardStats> for evolve_obs::FfCounters {
-    fn from(s: FastForwardStats) -> Self {
-        evolve_obs::FfCounters {
-            promotions: s.promotions,
-            demotions: s.demotions,
-            fast_forwarded_iterations: s.fast_forwarded_iterations,
-        }
+impl std::ops::Deref for FastForwardStats {
+    type Target = FfCounters;
+
+    fn deref(&self) -> &FfCounters {
+        &self.counters
+    }
+}
+
+impl std::ops::DerefMut for FastForwardStats {
+    fn deref_mut(&mut self) -> &mut FfCounters {
+        &mut self.counters
     }
 }
 

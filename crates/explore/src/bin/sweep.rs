@@ -24,7 +24,10 @@
 
 use std::path::PathBuf;
 
-use evolve_explore::{default_grid, run_sweep, trace_scenario, FastForward, Json, SweepConfig};
+use evolve_explore::{
+    default_grid, host_json, run_sweep, trace_scenario, FastForward, Json, SweepConfig,
+    SweepReport,
+};
 
 struct Options {
     threads: usize,
@@ -95,6 +98,47 @@ fn parse_args() -> Options {
     options
 }
 
+fn parallel_speedup(parallel: &SweepReport, sequential: &SweepReport) -> f64 {
+    sequential.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-12)
+}
+
+fn batch_speedup(batched: &SweepReport, unbatched: &SweepReport) -> f64 {
+    batched.scenarios_per_second() / unbatched.scenarios_per_second().max(1e-12)
+}
+
+/// The `sweep.json` document: the host stamp, the run comparison, and the
+/// parallel run's report.
+fn document(
+    options: &Options,
+    parallel: &SweepReport,
+    sequential: &SweepReport,
+    unbatched: Option<&SweepReport>,
+    identical: bool,
+) -> Json {
+    let mut fields = vec![
+        ("host", host_json()),
+        ("threads", Json::U64(parallel.threads as u64)),
+        ("scenario_count", Json::U64(parallel.scenarios.len() as u64)),
+        ("tokens_per_scenario", Json::U64(options.tokens)),
+        ("batch_width", Json::U64(options.batch as u64)),
+        ("parallel_wall_ns", Json::U64(parallel.wall.as_nanos() as u64)),
+        ("sequential_wall_ns", Json::U64(sequential.wall.as_nanos() as u64)),
+        ("parallel_speedup", Json::F64(parallel_speedup(parallel, sequential))),
+        ("scenarios_per_second", Json::F64(parallel.scenarios_per_second())),
+        ("outcomes_identical", Json::Bool(identical)),
+    ];
+    if let Some(u) = unbatched {
+        fields.push(("unbatched_wall_ns", Json::U64(u.wall.as_nanos() as u64)));
+        fields.push((
+            "unbatched_scenarios_per_second",
+            Json::F64(u.scenarios_per_second()),
+        ));
+        fields.push(("batch_speedup", Json::F64(batch_speedup(parallel, u))));
+    }
+    fields.push(("report", parallel.to_json()));
+    Json::object(fields)
+}
+
 fn main() {
     let options = parse_args();
     let scenarios = default_grid(options.scenarios, options.tokens);
@@ -152,7 +196,7 @@ fn main() {
             eprintln!("MISMATCH: scenario {} differs between thread counts", p.label);
         }
     }
-    let speedup = sequential.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-12);
+    let speedup = parallel_speedup(&parallel, &sequential);
     eprintln!(
         "parallel {:.3} ms, sequential {:.3} ms — speed-up {:.2}×, outcomes {}",
         parallel.wall.as_secs_f64() * 1e3,
@@ -160,17 +204,15 @@ fn main() {
         speedup,
         if identical { "bitwise identical" } else { "DIVERGED" },
     );
-    let batch_speedup = unbatched.as_ref().map(|u| {
-        let gain = parallel.scenarios_per_second() / u.scenarios_per_second().max(1e-12);
+    if let Some(u) = &unbatched {
         eprintln!(
             "batched {:.0} scenarios/s vs unbatched {:.0} scenarios/s — {:.2}× (lanes batched: {})",
             parallel.scenarios_per_second(),
             u.scenarios_per_second(),
-            gain,
+            batch_speedup(&parallel, u),
             parallel.batching.lanes_batched,
         );
-        gain
-    });
+    }
     let ff = parallel.total_fast_forward_stats();
     eprintln!(
         "fast-forward: {} promotions, {} demotions, {} iterations replayed",
@@ -182,27 +224,7 @@ fn main() {
         d.chains_formed, d.lanes_base, d.lanes_delta, d.nodes_reused, d.nodes_recomputed,
     );
 
-    let mut fields = vec![
-        ("threads", Json::U64(parallel.threads as u64)),
-        ("scenario_count", Json::U64(parallel.scenarios.len() as u64)),
-        ("tokens_per_scenario", Json::U64(options.tokens)),
-        ("batch_width", Json::U64(options.batch as u64)),
-        ("parallel_wall_ns", Json::U64(parallel.wall.as_nanos() as u64)),
-        ("sequential_wall_ns", Json::U64(sequential.wall.as_nanos() as u64)),
-        ("parallel_speedup", Json::F64(speedup)),
-        ("scenarios_per_second", Json::F64(parallel.scenarios_per_second())),
-        ("outcomes_identical", Json::Bool(identical)),
-    ];
-    if let (Some(gain), Some(u)) = (batch_speedup, unbatched.as_ref()) {
-        fields.push(("unbatched_wall_ns", Json::U64(u.wall.as_nanos() as u64)));
-        fields.push((
-            "unbatched_scenarios_per_second",
-            Json::F64(u.scenarios_per_second()),
-        ));
-        fields.push(("batch_speedup", Json::F64(gain)));
-    }
-    fields.push(("report", parallel.to_json()));
-    let doc = Json::object(fields);
+    let doc = document(&options, &parallel, &sequential, unbatched.as_ref(), identical);
     if let Some(parent) = options.out.parent() {
         std::fs::create_dir_all(parent).expect("create results directory");
     }
@@ -241,4 +263,38 @@ fn main() {
         );
     }
     assert!(identical, "parallel sweep diverged from the sequential path");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn document_carries_the_host_stamp_and_the_report() {
+        let options = Options {
+            threads: 1,
+            scenarios: 2,
+            tokens: 5,
+            batch: 2,
+            fast_forward: FastForward::On,
+            delta: true,
+            compare: false,
+            out: PathBuf::from("unused.json"),
+            metrics: None,
+            trace: None,
+        };
+        let config = SweepConfig {
+            threads: 1,
+            batch_width: options.batch,
+            ..SweepConfig::default()
+        };
+        let scenarios = default_grid(options.scenarios, options.tokens);
+        let report = run_sweep(&scenarios, &config);
+        let rendered = document(&options, &report, &report, Some(&report), true).render();
+        assert!(evolve_explore::json::parses(&rendered), "{rendered}");
+        let host = format!("{{\"host\":{},\"threads\":1,", host_json().render());
+        assert!(rendered.starts_with(&host), "{rendered}");
+        assert!(rendered.contains("\"batch_speedup\":"), "{rendered}");
+        assert!(rendered.contains("\"report\":{\"threads\":1,"), "{rendered}");
+    }
 }

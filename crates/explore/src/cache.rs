@@ -26,8 +26,8 @@ use std::sync::Arc;
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    derive_tdg, BatchUnsupported, BatchedEngine, DeltaCache, DeltaStats, Engine, FastForward,
-    FastForwardStats, PeriodicConfig,
+    derive_tdg, BatchUnsupported, BatchedEngine, DeltaCache, DeltaStats, DeltaUnsupported, Engine,
+    FastForward, FastForwardStats, PeriodicConfig,
 };
 use evolve_model::{Architecture, Arrival, ExecRecord, RelationId};
 use evolve_obs::{downcast, TelemetrySink};
@@ -184,8 +184,8 @@ pub struct EngineCaches {
     /// Scalar engines, one per distinct spec.
     pub scalar: HashMap<ModelSpec, PreparedModel>,
     /// Batched engine pools (or the model's typed rejection, discovered
-    /// once), one per distinct spec. A pool holds several engines so
-    /// intra-unit fan-out can drive same-model groups concurrently.
+    /// once), one per distinct spec. An engine is popped for the length of
+    /// a drive and pushed back, so the owner can borrow itself meanwhile.
     pub batch: HashMap<ModelSpec, Result<Vec<PreparedBatch>, BatchUnsupported>>,
 }
 
@@ -217,13 +217,12 @@ pub enum DeltaLaneOutcome {
     NotRequested,
     /// Base captured; siblings can attach this cache.
     Captured(Arc<DeltaCache>),
-    /// The engine refused capture (reason string from
-    /// [`DeltaUnsupported`](evolve_core::DeltaUnsupported)).
-    CaptureFailed(&'static str),
+    /// The engine refused capture.
+    CaptureFailed(DeltaUnsupported),
     /// Sibling ran attached; counters for the whole drive.
     Attached(DeltaStats),
     /// Sibling was refused attachment and evaluated fully.
-    Ejected(&'static str),
+    Ejected(DeltaUnsupported),
 }
 
 /// Everything one scalar drive produced.
@@ -280,12 +279,12 @@ pub fn drive_prepared(
                 .engine
                 .set_fast_forward_with(FastForward::Off, options.periodic_config());
             if let Err(e) = prepared.engine.begin_delta_capture() {
-                delta_outcome = DeltaLaneOutcome::CaptureFailed(e.reason());
+                delta_outcome = DeltaLaneOutcome::CaptureFailed(e);
             }
         }
         DeltaMode::Sibling(base) => {
             if let Err(e) = prepared.engine.attach_delta_base(Arc::clone(base)) {
-                delta_outcome = DeltaLaneOutcome::Ejected(e.reason());
+                delta_outcome = DeltaLaneOutcome::Ejected(e);
             }
         }
     }

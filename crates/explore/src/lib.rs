@@ -55,9 +55,9 @@ pub use evolve_core::{EvalBackend, FastForward, FastForwardStats};
 pub use evolve_obs::{MetricsSnapshot, TelemetrySink, TraceCollector};
 pub use json::Json;
 pub use sweep::{
-    default_grid, drive_batch, drive_engine, parallel_map, parallel_map_with, run_sweep,
-    trace_scenario, BatchingStats, DeltaSweepStats, ModelKind, ModelSpec, ReferenceComparison,
-    ScenarioOutcome, ScenarioResult, ScenarioSpec, SweepConfig, SweepReport, TraceSpec,
+    default_grid, drive_batch, drive_engine, host_json, parallel_map, parallel_map_with,
+    run_sweep, trace_scenario, ModelKind, ModelSpec, ReferenceComparison, ScenarioOutcome,
+    ScenarioResult, ScenarioSpec, SweepConfig, SweepReport, TraceSpec,
 };
 
 use evolve_core::{analysis, derive_tdg, equivalent_simulation, EquivalentError};

@@ -54,19 +54,22 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    synthetic, BatchedEngine, DeltaCache, DeltaStats, DetectedPeriod, Engine, EngineStats,
-    EvalBackend, FastForward, FastForwardStats, KernelDispatchStats, PeriodicConfig,
+    synthetic, BatchedEngine, DeltaCache, DeltaUnsupported, DetectedPeriod, Engine, EngineStats,
+    EvalBackend, FastForward, FastForwardStats, PeriodicConfig,
 };
 use evolve_des::{SplitMix64, Time};
 use evolve_model::{
     didactic, elaborate, Architecture, Arrival, Environment, ExecRecord, RelationId, Stimulus,
 };
-use evolve_obs::{downcast, EjectReason, EngineEvent, MetricsSnapshot, Observer as _, TelemetrySink, TraceCollector};
+use evolve_obs::{
+    downcast, BatchCounters, DeltaCounters, EjectReason, EngineEvent, MetricsSnapshot,
+    Observer as _, TelemetrySink, TraceCollector,
+};
 
 use crate::cache::{
     busy_per_resource, delta_family_key, drive_prepared, drive_prepared_batch, prepare,
     prepare_batch, DeltaFamilyKey, DeltaLaneOutcome, DeltaMode, EngineCaches, EngineOptions,
-    PreparedBatch, PreparedModel,
+    PreparedModel,
 };
 use crate::json::Json;
 
@@ -328,15 +331,6 @@ pub struct SweepConfig {
     /// disables batching entirely and every scenario takes the scalar
     /// path; see `docs/SWEEP.md` for tuning guidance.
     pub batch_width: usize,
-    /// Same-model lockstep batches advanced concurrently inside one work
-    /// unit (≥ 1). `1` (the default) drives each batch as its own unit;
-    /// higher values let the planner pack up to this many batches of one
-    /// [`ModelSpec`] into a single unit, which the claiming worker then
-    /// fans out over scoped threads — useful when a sweep has few distinct
-    /// models and the unit count would otherwise underfill the worker
-    /// pool. Outcomes and the batching ledger are bitwise identical for
-    /// any setting; see `docs/SWEEP.md`.
-    pub intra_unit_batches: usize,
     /// Periodic steady-state fast-forward for compiled engines, scalar and
     /// batched alike. [`FastForward::On`] by default: outcomes are
     /// guaranteed bitwise identical either way (aperiodic traces simply
@@ -371,7 +365,6 @@ impl Default for SweepConfig {
             compare_conventional: false,
             reference_dispatch_cost_ns: 0,
             batch_width: 1,
-            intra_unit_batches: 1,
             fast_forward: FastForward::On,
             ff_confirm_periods: PeriodicConfig::default().confirm_periods,
             telemetry: false,
@@ -380,175 +373,14 @@ impl Default for SweepConfig {
     }
 }
 
-/// Aggregate counters of the batched scheduling layer, reported in
-/// `results/sweep.json` so batching efficacy is observable without a
-/// profiler.
-///
-/// Every scenario of a sweep is either a batched lane
-/// ([`lanes_batched`](Self::lanes_batched)) or a scalar evaluation
-/// ([`lanes_scalar`](Self::lanes_scalar)); the `eject_*` counters break the
-/// scalar side down by the reason the batching layer turned the scenario
-/// away.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchingStats {
-    /// The configured [`SweepConfig::batch_width`].
-    pub batch_width: usize,
-    /// Lockstep batches driven to completion.
-    pub batches_formed: u64,
-    /// Scenarios evaluated as lanes of a batch.
-    pub lanes_batched: u64,
-    /// Scenarios evaluated on the scalar per-scenario path (including all
-    /// scenarios of a sweep with batching disabled).
-    pub lanes_scalar: u64,
-    /// Lockstep `set_input_batch` sweeps executed across all batches.
-    pub lockstep_iterations: u64,
-    /// Lockstep sweeps dispatched to the lane-chunked fold kernels (lane
-    /// stride a multiple of the SIMD chunk — see `evolve_core::kernel`).
-    pub kernel_chunked_sweeps: u64,
-    /// Lockstep sweeps dispatched to the per-element reference kernels
-    /// (narrow batches below one chunk).
-    pub kernel_scalar_sweeps: u64,
-    /// Scenarios ejected because their model uses the worklist backend.
-    pub eject_worklist: u64,
-    /// Scenarios ejected because their trace offers no tokens.
-    pub eject_empty_trace: u64,
-    /// Scenarios ejected because their model group had a leftover single
-    /// lane (a one-lane batch would only add overhead).
-    pub eject_single_lane: u64,
-    /// Scenarios ejected because [`BatchedEngine`] rejected the graph shape
-    /// (multi-input, output acks, long size-derivation delays).
-    pub eject_unsupported: u64,
-}
-
-impl From<BatchingStats> for evolve_obs::BatchCounters {
-    fn from(b: BatchingStats) -> Self {
-        evolve_obs::BatchCounters {
-            batch_width: b.batch_width as u64,
-            batches_formed: b.batches_formed,
-            lanes_batched: b.lanes_batched,
-            lanes_scalar: b.lanes_scalar,
-            lockstep_iterations: b.lockstep_iterations,
-            kernel_chunked_sweeps: b.kernel_chunked_sweeps,
-            kernel_scalar_sweeps: b.kernel_scalar_sweeps,
-            eject_worklist: b.eject_worklist,
-            eject_empty_trace: b.eject_empty_trace,
-            eject_single_lane: b.eject_single_lane,
-            eject_unsupported: b.eject_unsupported,
-        }
-    }
-}
-
-impl BatchingStats {
-    fn absorb(&mut self, other: BatchingStats) {
-        self.batches_formed += other.batches_formed;
-        self.lanes_batched += other.lanes_batched;
-        self.lanes_scalar += other.lanes_scalar;
-        self.lockstep_iterations += other.lockstep_iterations;
-        self.kernel_chunked_sweeps += other.kernel_chunked_sweeps;
-        self.kernel_scalar_sweeps += other.kernel_scalar_sweeps;
-        self.eject_worklist += other.eject_worklist;
-        self.eject_empty_trace += other.eject_empty_trace;
-        self.eject_single_lane += other.eject_single_lane;
-        self.eject_unsupported += other.eject_unsupported;
-    }
-}
-
-/// Aggregate counters of the delta-chaining layer, reported in
-/// `results/sweep.json` next to [`BatchingStats`].
-///
-/// A *chain* is a family of structurally identical scalar scenarios whose
-/// first member ([`lanes_base`](Self::lanes_base)) is evaluated fully with
-/// its per-iteration state captured, and whose remaining members
-/// ([`lanes_delta`](Self::lanes_delta)) diff against that cache. The
-/// `eject_*` counters record siblings that fell back to full evaluation,
-/// keyed by [`DeltaUnsupported::reason`](evolve_core::DeltaUnsupported::reason).
-/// The node-level counters fold every attached sibling's
-/// [`DeltaStats`](evolve_core::DeltaStats).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeltaSweepStats {
-    /// Sibling chains formed by the planner (families of ≥ 2 scenarios).
-    pub chains_formed: u64,
-    /// Chain bases evaluated fully under capture.
-    pub lanes_base: u64,
-    /// Siblings evaluated against a base cache.
-    pub lanes_delta: u64,
-    /// Siblings ejected: graph has more than one input node.
-    pub eject_multi_input: u64,
-    /// Siblings ejected: graph requires output acknowledgements.
-    pub eject_output_acks: u64,
-    /// Siblings ejected: engine uses the worklist backend.
-    pub eject_worklist: u64,
-    /// Siblings ejected: compiled structure differs from the base cache.
-    pub eject_structure_mismatch: u64,
-    /// Offers answered via delta propagation across all attached siblings.
-    pub calls_delta: u64,
-    /// Offers answered by full evaluation inside attached siblings (beyond
-    /// the cache horizon).
-    pub calls_full: u64,
-    /// Node instants copied from the base cache without recomputation.
-    pub nodes_reused: u64,
-    /// Node instants recomputed on the change frontier.
-    pub nodes_recomputed: u64,
-    /// Recomputed nodes whose instant matched the cache (frontier
-    /// absorption via max-plus monotonicity).
-    pub nodes_settled: u64,
-    /// Delta iterations whose frontier was empty (pure cache replay).
-    pub frontier_collapses: u64,
-}
-
-impl From<DeltaSweepStats> for evolve_obs::DeltaCounters {
-    fn from(d: DeltaSweepStats) -> Self {
-        evolve_obs::DeltaCounters {
-            chains_formed: d.chains_formed,
-            lanes_base: d.lanes_base,
-            lanes_delta: d.lanes_delta,
-            calls_delta: d.calls_delta,
-            calls_full: d.calls_full,
-            nodes_reused: d.nodes_reused,
-            nodes_recomputed: d.nodes_recomputed,
-            nodes_settled: d.nodes_settled,
-            frontier_collapses: d.frontier_collapses,
-            eject_multi_input: d.eject_multi_input,
-            eject_output_acks: d.eject_output_acks,
-            eject_worklist: d.eject_worklist,
-            eject_structure_mismatch: d.eject_structure_mismatch,
-        }
-    }
-}
-
-impl DeltaSweepStats {
-    fn absorb(&mut self, other: DeltaSweepStats) {
-        self.chains_formed += other.chains_formed;
-        self.lanes_base += other.lanes_base;
-        self.lanes_delta += other.lanes_delta;
-        self.eject_multi_input += other.eject_multi_input;
-        self.eject_output_acks += other.eject_output_acks;
-        self.eject_worklist += other.eject_worklist;
-        self.eject_structure_mismatch += other.eject_structure_mismatch;
-        self.calls_delta += other.calls_delta;
-        self.calls_full += other.calls_full;
-        self.nodes_reused += other.nodes_reused;
-        self.nodes_recomputed += other.nodes_recomputed;
-        self.nodes_settled += other.nodes_settled;
-        self.frontier_collapses += other.frontier_collapses;
-    }
-
-    fn absorb_engine(&mut self, stats: &DeltaStats) {
-        self.calls_delta += stats.calls_delta;
-        self.calls_full += stats.calls_full;
-        self.nodes_reused += stats.nodes_reused;
-        self.nodes_recomputed += stats.nodes_recomputed;
-        self.nodes_settled += stats.nodes_settled;
-        self.frontier_collapses += stats.frontier_collapses;
-    }
-
-    fn count_eject(&mut self, reason: &str) {
-        match reason {
-            "multi_input" => self.eject_multi_input += 1,
-            "output_acks" => self.eject_output_acks += 1,
-            "worklist" => self.eject_worklist += 1,
-            _ => self.eject_structure_mismatch += 1,
-        }
+/// Counts one delta-chain sibling that fell back to full evaluation,
+/// under its typed reason.
+fn count_delta_eject(stats: &mut DeltaCounters, reason: DeltaUnsupported) {
+    match reason {
+        DeltaUnsupported::MultiInput { .. } => stats.eject_multi_input += 1,
+        DeltaUnsupported::OutputAcks => stats.eject_output_acks += 1,
+        DeltaUnsupported::WorklistBackend => stats.eject_worklist += 1,
+        DeltaUnsupported::StructureMismatch => stats.eject_structure_mismatch += 1,
     }
 }
 
@@ -560,10 +392,14 @@ pub struct SweepReport {
     pub threads: usize,
     /// Per-scenario results, ordered by [`ScenarioResult::index`].
     pub scenarios: Vec<ScenarioResult>,
-    /// Counters of the batched scheduling layer.
-    pub batching: BatchingStats,
-    /// Counters of the delta-chaining layer.
-    pub delta: DeltaSweepStats,
+    /// Counters of the batched scheduling layer: every scenario is either
+    /// a batched lane or a scalar evaluation, and the `eject_*` counters
+    /// break the scalar side down by the reason batching turned it away.
+    pub batching: BatchCounters,
+    /// Counters of the delta-chaining layer: chains formed, bases and
+    /// attached siblings, the siblings' node-level counters, and the
+    /// siblings ejected to full evaluation by reason.
+    pub delta: DeltaCounters,
     /// Host wall-clock time of the whole sweep.
     pub wall: HostDuration,
     /// Merged streaming-telemetry shards (resource metrics, event counts),
@@ -575,19 +411,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Engine counters summed over all scenarios.
-    pub fn total_engine_stats(&self) -> EngineStats {
-        let mut total = EngineStats::default();
-        for s in &self.scenarios {
-            total.nodes_computed += s.outcome.engine_stats.nodes_computed;
-            total.arcs_evaluated += s.outcome.engine_stats.arcs_evaluated;
-            total.iterations_completed += s.outcome.engine_stats.iterations_completed;
-            total.lanes_evaluated += s.outcome.engine_stats.lanes_evaluated;
-            total.batched_iterations += s.outcome.engine_stats.batched_iterations;
-        }
-        total
-    }
-
     /// Sweep throughput in scenarios per second of host wall-clock — the
     /// headline exploration metric.
     pub fn scenarios_per_second(&self) -> f64 {
@@ -628,8 +451,8 @@ impl SweepReport {
     /// One [`MetricsSnapshot`] carrying every counter family of the sweep
     /// — engine work, fast-forward, batching, lifecycle events, and (when
     /// [`SweepConfig::telemetry`] was on) streamed per-resource metrics —
-    /// so `FastForwardStats` and `BatchingStats` flow through the same
-    /// Prometheus/JSON exporters as everything else.
+    /// so every counter family flows through the same Prometheus/JSON
+    /// exporters.
     ///
     /// Counter families come from the report's own deterministic totals.
     /// Without a telemetry shard, boundary events are synthesised from the
@@ -638,10 +461,13 @@ impl SweepReport {
     /// event-ratio gauge is live either way.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.telemetry.clone().unwrap_or_default();
-        snap.engine = self.total_engine_stats().into();
-        snap.ff = self.total_fast_forward_stats().into();
-        snap.batch = self.batching.into();
-        snap.delta = self.delta.into();
+        snap.engine = EngineStats::default();
+        for s in &self.scenarios {
+            snap.engine.merge(&s.outcome.engine_stats);
+        }
+        snap.ff = self.total_fast_forward_stats().counters;
+        snap.batch = self.batching;
+        snap.delta = self.delta;
         if snap.events.boundary_events() == 0 {
             let inputs: u64 = self
                 .scenarios
@@ -682,20 +508,14 @@ impl SweepReport {
         std::fs::write(path, body)
     }
 
-    /// Renders the report as a JSON document.
+    /// Renders the report as a JSON document. Counter totals appear once,
+    /// in the `telemetry` snapshot.
     pub fn to_json(&self) -> Json {
-        let totals = self.total_engine_stats();
         Json::object([
             ("threads", Json::U64(self.threads as u64)),
             ("wall_ns", Json::U64(self.wall.as_nanos() as u64)),
             ("scenario_count", Json::U64(self.scenarios.len() as u64)),
             ("engines_reused", Json::U64(self.reused_count() as u64)),
-            (
-                "total_engine_stats",
-                engine_stats_json(&totals),
-            ),
-            ("batching", batching_json(&self.batching)),
-            ("delta", delta_json(&self.delta)),
             ("fast_forward", fast_forward_report_json(self)),
             ("telemetry", self.metrics_snapshot().to_json()),
             (
@@ -718,96 +538,34 @@ impl SweepReport {
     }
 }
 
-fn engine_stats_json(stats: &EngineStats) -> Json {
-    Json::object([
-        ("nodes_computed", Json::U64(stats.nodes_computed)),
-        ("arcs_evaluated", Json::U64(stats.arcs_evaluated)),
-        ("iterations_completed", Json::U64(stats.iterations_completed)),
-        ("lanes_evaluated", Json::U64(stats.lanes_evaluated)),
-        ("batched_iterations", Json::U64(stats.batched_iterations)),
-    ])
-}
-
 fn fast_forward_json(f: &FastForwardStats) -> Json {
-    let mut fields = vec![
-        ("promotions", Json::U64(f.promotions)),
-        ("demotions", Json::U64(f.demotions)),
-        ("fast_forwarded_iterations", Json::U64(f.fast_forwarded_iterations)),
-    ];
+    let mut fields = f.counters.json_fields();
     if let Some(d) = f.detected {
-        fields.push(("detected_growth", Json::U64(d.growth)));
-        fields.push(("detected_period", Json::U64(d.period)));
+        fields.push(("detected_growth".to_string(), Json::U64(d.growth)));
+        fields.push(("detected_period".to_string(), Json::U64(d.period)));
     }
-    Json::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Json::Object(fields)
 }
 
 fn fast_forward_report_json(report: &SweepReport) -> Json {
-    let totals = report.total_fast_forward_stats();
-    Json::object([
-        ("promotions", Json::U64(totals.promotions)),
-        ("demotions", Json::U64(totals.demotions)),
-        ("fast_forwarded_iterations", Json::U64(totals.fast_forwarded_iterations)),
-        (
-            "detected_regimes",
-            Json::Array(
-                report
-                    .detected_regimes()
-                    .into_iter()
-                    .map(|(d, n)| {
-                        Json::object([
-                            ("growth", Json::U64(d.growth)),
-                            ("period", Json::U64(d.period)),
-                            ("scenarios", Json::U64(n)),
-                        ])
-                    })
-                    .collect(),
-            ),
+    let mut fields = report.total_fast_forward_stats().counters.json_fields();
+    fields.push((
+        "detected_regimes".to_string(),
+        Json::Array(
+            report
+                .detected_regimes()
+                .into_iter()
+                .map(|(d, n)| {
+                    Json::object([
+                        ("growth", Json::U64(d.growth)),
+                        ("period", Json::U64(d.period)),
+                        ("scenarios", Json::U64(n)),
+                    ])
+                })
+                .collect(),
         ),
-    ])
-}
-
-fn batching_json(b: &BatchingStats) -> Json {
-    Json::object([
-        ("batch_width", Json::U64(b.batch_width as u64)),
-        ("batches_formed", Json::U64(b.batches_formed)),
-        ("lanes_batched", Json::U64(b.lanes_batched)),
-        ("lanes_scalar", Json::U64(b.lanes_scalar)),
-        ("lockstep_iterations", Json::U64(b.lockstep_iterations)),
-        ("kernel_chunked_sweeps", Json::U64(b.kernel_chunked_sweeps)),
-        ("kernel_scalar_sweeps", Json::U64(b.kernel_scalar_sweeps)),
-        (
-            "ejections",
-            Json::object([
-                ("worklist", Json::U64(b.eject_worklist)),
-                ("empty_trace", Json::U64(b.eject_empty_trace)),
-                ("single_lane", Json::U64(b.eject_single_lane)),
-                ("unsupported", Json::U64(b.eject_unsupported)),
-            ]),
-        ),
-    ])
-}
-
-fn delta_json(d: &DeltaSweepStats) -> Json {
-    Json::object([
-        ("chains_formed", Json::U64(d.chains_formed)),
-        ("lanes_base", Json::U64(d.lanes_base)),
-        ("lanes_delta", Json::U64(d.lanes_delta)),
-        ("calls_delta", Json::U64(d.calls_delta)),
-        ("calls_full", Json::U64(d.calls_full)),
-        ("nodes_reused", Json::U64(d.nodes_reused)),
-        ("nodes_recomputed", Json::U64(d.nodes_recomputed)),
-        ("nodes_settled", Json::U64(d.nodes_settled)),
-        ("frontier_collapses", Json::U64(d.frontier_collapses)),
-        (
-            "ejections",
-            Json::object([
-                ("multi_input", Json::U64(d.eject_multi_input)),
-                ("output_acks", Json::U64(d.eject_output_acks)),
-                ("worklist", Json::U64(d.eject_worklist)),
-                ("structure_mismatch", Json::U64(d.eject_structure_mismatch)),
-            ]),
-        ),
-    ])
+    ));
+    Json::Object(fields)
 }
 
 fn scenario_json(s: &ScenarioResult) -> Json {
@@ -823,7 +581,7 @@ fn scenario_json(s: &ScenarioResult) -> Json {
         ("outputs", Json::U64(s.outcome.outputs.len() as u64)),
         ("makespan_ticks", Json::U64(makespan)),
         ("boundary_events", Json::U64(s.outcome.boundary_events)),
-        ("engine_stats", engine_stats_json(&s.outcome.engine_stats)),
+        ("engine_stats", s.outcome.engine_stats.to_json()),
         ("fast_forward", fast_forward_json(&s.fast_forward)),
         (
             "busy_ticks",
@@ -844,6 +602,28 @@ fn scenario_json(s: &ScenarioResult) -> Json {
         ));
     }
     Json::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// The host a result was measured on: available cores, the fold-kernel
+/// SIMD level ([`evolve_core::kernel::simd_level`]), and the build
+/// profile. Every JSON artifact writer (sweep and bench reports) embeds it
+/// as its `host` object, so a number's provenance travels with it.
+pub fn host_json() -> Json {
+    Json::object([
+        (
+            "cores",
+            Json::U64(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
+        ),
+        ("simd_level", Json::str(evolve_core::kernel::simd_level())),
+        (
+            "profile",
+            Json::str(if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }),
+        ),
+    ])
 }
 
 /// Applies `f` to every item on a fixed pool of `threads` scoped workers,
@@ -1138,11 +918,9 @@ enum ScalarReason {
     SingleLane,
 }
 
-/// A unit of worker-schedulable work: one scalar scenario, one *or more*
-/// lockstep batches of scenarios sharing a [`ModelSpec`]
-/// ([`SweepConfig::intra_unit_batches`] bounds the fan-out per unit), or
-/// one delta chain of structurally identical scalar scenarios (base
-/// first).
+/// A unit of worker-schedulable work: one scalar scenario, one lockstep
+/// batch of scenarios sharing a [`ModelSpec`], or one delta chain of
+/// structurally identical scalar scenarios (base first).
 ///
 /// Chain members keep their [`ScalarReason`] so the batching counters are
 /// identical with delta chaining on or off — chaining regroups the scalar
@@ -1153,7 +931,7 @@ enum WorkUnit {
         spec: ScenarioSpec,
         reason: ScalarReason,
     },
-    Batch(Vec<BatchGroup>),
+    Batch(BatchGroup),
     Delta(ChainMembers),
 }
 
@@ -1225,7 +1003,6 @@ fn plan_delta_chains(units: Vec<WorkUnit>) -> Vec<WorkUnit> {
 /// everything else — and leftover single lanes — becomes a scalar unit.
 fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit> {
     let width = config.batch_width.max(1);
-    let intra = config.intra_unit_batches.max(1);
     let mut units = Vec::new();
     if width == 1 {
         for (index, spec) in scenarios.iter().cloned().enumerate() {
@@ -1241,11 +1018,8 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
         return units;
     }
     // First-seen order keeps unit formation deterministic; the model count
-    // per sweep is small, so a linear scan beats a map here. Groups are
-    // carved at `width` lanes regardless of the intra-unit fan-out — the
-    // knob only changes how many ready groups ride in one unit, so the
-    // batching ledger is identical for any setting.
-    let mut pending: Vec<(ModelSpec, Vec<BatchGroup>, BatchGroup)> = Vec::new();
+    // per sweep is small, so a linear scan beats a map here.
+    let mut open: Vec<(ModelSpec, BatchGroup)> = Vec::new();
     for (index, spec) in scenarios.iter().cloned().enumerate() {
         if spec.model.backend == EvalBackend::Worklist {
             units.push(WorkUnit::Scalar {
@@ -1260,42 +1034,32 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
                 reason: ScalarReason::EmptyTrace,
             });
         } else {
-            let pos = match pending.iter().position(|(m, _, _)| *m == spec.model) {
+            let pos = match open.iter().position(|(m, _)| *m == spec.model) {
                 Some(pos) => pos,
                 None => {
-                    pending.push((spec.model.clone(), Vec::new(), Vec::new()));
-                    pending.len() - 1
+                    open.push((spec.model.clone(), Vec::new()));
+                    open.len() - 1
                 }
             };
-            let (_, ready, open) = &mut pending[pos];
-            open.push((index, spec));
-            if open.len() == width {
-                ready.push(std::mem::take(open));
-                if ready.len() == intra {
-                    units.push(WorkUnit::Batch(std::mem::take(ready)));
-                }
+            let group = &mut open[pos].1;
+            group.push((index, spec));
+            if group.len() == width {
+                units.push(WorkUnit::Batch(std::mem::take(group)));
             }
         }
     }
-    for (_, mut ready, open) in pending {
-        match open.len() {
+    for (_, group) in open {
+        match group.len() {
             0 => {}
             1 => {
-                let (index, spec) = open.into_iter().next().expect("len checked");
+                let (index, spec) = group.into_iter().next().expect("len checked");
                 units.push(WorkUnit::Scalar {
                     index,
                     spec,
                     reason: ScalarReason::SingleLane,
                 });
             }
-            // The leftover partial group is one more batch; it may ride in
-            // a unit with full-width groups (engines re-lane per group).
-            _ => ready.push(open),
-        }
-        while !ready.is_empty() {
-            let rest = ready.split_off(ready.len().min(intra));
-            units.push(WorkUnit::Batch(ready));
-            ready = rest;
+            _ => units.push(WorkUnit::Batch(group)),
         }
     }
     if config.delta {
@@ -1304,38 +1068,63 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
     units
 }
 
-/// The per-group ledger [`evaluate_batch`] merges into [`BatchingStats`]
-/// in group order, so the counters are identical for any intra-unit
-/// fan-out.
-struct GroupLedger {
-    lanes: u64,
-    lockstep_iterations: u64,
-    kernel: KernelDispatchStats,
-}
-
-/// Drives one lane group on one prepared batched engine and builds its
-/// per-lane results. Safe to run on a scoped thread: everything it touches
-/// is owned or exclusively borrowed.
-fn drive_group(
-    prepared: &mut PreparedBatch,
+/// Evaluates one lockstep batch of same-model lanes. If the model turns
+/// out to be unsupported by [`BatchedEngine`] (discovered once per model,
+/// then cached), every lane is ejected to the scalar path. The prepared
+/// engine comes from (and returns to) a per-model pool, so steady-state
+/// batches allocate nothing.
+fn evaluate_batch(
+    state: &mut EngineCaches,
     group: BatchGroup,
     config: &SweepConfig,
-    sink: Option<Box<TelemetrySink>>,
-) -> (Vec<ScenarioResult>, GroupLedger, Option<Box<TelemetrySink>>) {
+    stats: &mut BatchCounters,
+    tel: &mut Option<Box<TelemetrySink>>,
+) -> Vec<ScenarioResult> {
+    let options = engine_options(config);
+    let model = &group[0].1.model;
+    let entry = state
+        .batch
+        .entry(model.clone())
+        .or_insert_with(|| prepare_batch(model, &options, group.len()).map(|p| vec![p]));
+    let pool = match entry {
+        Ok(pool) => pool,
+        Err(_) => {
+            let mut out = Vec::new();
+            for (index, spec) in &group {
+                stats.eject_unsupported += 1;
+                stats.lanes_scalar += 1;
+                if let Some(sink) = tel.as_deref_mut() {
+                    sink.on_event(EngineEvent::LaneEjected {
+                        lane: *index as u32,
+                        reason: EjectReason::Unsupported,
+                    });
+                }
+                out.push(evaluate(&mut state.scalar, *index, spec, config, tel));
+            }
+            return out;
+        }
+    };
+    // Engines re-lane on reset. Support is a property of the graph shape,
+    // not the lane count, so preparing another engine cannot fail here.
+    let mut prepared = match pool.pop() {
+        Some(prepared) => prepared,
+        None => prepare_batch(model, &options, group.len())
+            .expect("batch support is per model shape, decided above"),
+    };
+
     let width = group.len();
-    let mut sink = sink;
     let stimuli: Vec<Stimulus> = group.iter().map(|(_, s)| s.trace.stimulus()).collect();
     let traces: Vec<&[Arrival]> = stimuli.iter().map(|s| s.arrivals()).collect();
-    let (outcomes, reused_engine, batch_wall) =
-        drive_prepared_batch(prepared, &traces, &mut sink);
+    let (outcomes, reused_engine, batch_wall) = drive_prepared_batch(&mut prepared, &traces, tel);
     // Per-lane amortized cost, comparable to the scalar wall.
     let wall = batch_wall / width as u32;
 
-    let ledger = GroupLedger {
-        lanes: width as u64,
-        lockstep_iterations: prepared.engine.stats().batched_iterations,
-        kernel: prepared.engine.kernel_dispatch(),
-    };
+    let kernel = prepared.engine.kernel_dispatch();
+    stats.batches_formed += 1;
+    stats.lanes_batched += width as u64;
+    stats.lockstep_iterations += prepared.engine.stats().batched_iterations;
+    stats.kernel_chunked_sweeps += kernel.chunked_sweeps;
+    stats.kernel_scalar_sweeps += kernel.scalar_sweeps;
 
     let results = group
         .into_iter()
@@ -1369,117 +1158,15 @@ fn drive_group(
             }
         })
         .collect();
-    (results, ledger, sink)
-}
-
-/// Evaluates one batch unit of one or more same-model lane groups. If the
-/// model turns out to be unsupported by [`BatchedEngine`] (discovered once
-/// per model, then cached), every lane of every group is ejected to the
-/// scalar path. Multi-group units fan their groups out over scoped
-/// threads, one prepared engine per group, pulled from (and returned to) a
-/// per-model pool so steady-state units allocate nothing.
-fn evaluate_batch(
-    state: &mut EngineCaches,
-    groups: Vec<BatchGroup>,
-    config: &SweepConfig,
-    stats: &mut BatchingStats,
-    tel: &mut Option<Box<TelemetrySink>>,
-) -> Vec<ScenarioResult> {
-    let options = engine_options(config);
-    let model = &groups[0][0].1.model;
-    let entry = state
-        .batch
-        .entry(model.clone())
-        .or_insert_with(|| prepare_batch(model, &options, groups[0].len()).map(|p| vec![p]));
-    let pool = match entry {
-        Ok(pool) => pool,
-        Err(_) => {
-            let mut out = Vec::new();
-            for group in &groups {
-                for (index, spec) in group {
-                    stats.eject_unsupported += 1;
-                    stats.lanes_scalar += 1;
-                    if let Some(sink) = tel.as_deref_mut() {
-                        sink.on_event(EngineEvent::LaneEjected {
-                            lane: *index as u32,
-                            reason: EjectReason::Unsupported,
-                        });
-                    }
-                    out.push(evaluate(&mut state.scalar, *index, spec, config, tel));
-                }
-            }
-            return out;
-        }
-    };
-
-    // One prepared engine per group: pulled from the pool (engines re-lane
-    // on reset), topped up on first fan-out. Support is a property of the
-    // graph shape, not the lane count, so a top-up cannot fail here.
-    let mut engines: Vec<PreparedBatch> = Vec::with_capacity(groups.len());
-    for group in &groups {
-        engines.push(match pool.pop() {
-            Some(prepared) => prepared,
-            None => prepare_batch(model, &options, group.len())
-                .expect("batch support is per model shape, decided above"),
-        });
-    }
-    // One telemetry shard per group (the unit's sink rides with group 0);
-    // shards merge back in group order below, so the aggregate is
-    // deterministic for any fan-out.
-    let mut sinks: Vec<Option<Box<TelemetrySink>>> = Vec::with_capacity(groups.len());
-    for i in 0..groups.len() {
-        sinks.push(match (i, tel.is_some()) {
-            (0, true) => tel.take(),
-            (_, true) => Some(Box::new(TelemetrySink::new())),
-            (_, false) => None,
-        });
-    }
-
-    let driven: Vec<(Vec<ScenarioResult>, GroupLedger, Option<Box<TelemetrySink>>)> =
-        if groups.len() == 1 {
-            let group = groups.into_iter().next().expect("one group");
-            let sink = sinks.into_iter().next().expect("one sink slot");
-            vec![drive_group(&mut engines[0], group, config, sink)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = engines
-                    .iter_mut()
-                    .zip(groups.into_iter().zip(sinks))
-                    .map(|(prepared, (group, sink))| {
-                        scope.spawn(move || drive_group(prepared, group, config, sink))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("intra-unit batch thread panicked"))
-                    .collect()
-            })
-        };
-
-    let mut out = Vec::new();
-    for (results, ledger, sink) in driven {
-        stats.batches_formed += 1;
-        stats.lanes_batched += ledger.lanes;
-        stats.lockstep_iterations += ledger.lockstep_iterations;
-        stats.kernel_chunked_sweeps += ledger.kernel.chunked_sweeps;
-        stats.kernel_scalar_sweeps += ledger.kernel.scalar_sweeps;
-        if let Some(shard) = sink {
-            match tel.as_mut() {
-                Some(total) => total.merge(*shard),
-                None => *tel = Some(shard),
-            }
-        }
-        out.extend(results);
-    }
-    pool.extend(engines);
-    out
+    pool.push(prepared);
+    results
 }
 
 /// Books one scalar evaluation into the batching counters and telemetry —
 /// shared by the plain scalar arm and every delta-chain member, so the
 /// batching ledger is identical with chaining on or off.
 fn count_scalar(
-    stats: &mut BatchingStats,
+    stats: &mut BatchCounters,
     tel: &mut Option<Box<TelemetrySink>>,
     index: usize,
     reason: &ScalarReason,
@@ -1517,14 +1204,14 @@ fn evaluate_delta_chain(
     state: &mut EngineCaches,
     chain: ChainMembers,
     config: &SweepConfig,
-    stats: &mut BatchingStats,
-    delta_stats: &mut DeltaSweepStats,
+    stats: &mut BatchCounters,
+    delta_stats: &mut DeltaCounters,
     tel: &mut Option<Box<TelemetrySink>>,
 ) -> Vec<ScenarioResult> {
     delta_stats.chains_formed += 1;
     let mut out = Vec::with_capacity(chain.len());
     let mut base_cache: Option<Arc<DeltaCache>> = None;
-    let mut capture_fail: Option<&'static str> = None;
+    let mut capture_fail: Option<DeltaUnsupported> = None;
     for (pos, (index, spec, reason)) in chain.into_iter().enumerate() {
         count_scalar(stats, tel, index, &reason);
         if pos == 0 {
@@ -1555,14 +1242,17 @@ fn evaluate_delta_chain(
             match outcome {
                 DeltaLaneOutcome::Attached(engine_stats) => {
                     delta_stats.lanes_delta += 1;
-                    delta_stats.absorb_engine(&engine_stats);
+                    delta_stats.merge(&engine_stats);
                 }
-                DeltaLaneOutcome::Ejected(reason) => delta_stats.count_eject(reason),
+                DeltaLaneOutcome::Ejected(reason) => count_delta_eject(delta_stats, reason),
                 _ => {}
             }
             out.push(result);
         } else {
-            delta_stats.count_eject(capture_fail.unwrap_or("structure_mismatch"));
+            count_delta_eject(
+                delta_stats,
+                capture_fail.unwrap_or(DeltaUnsupported::StructureMismatch),
+            );
             out.push(evaluate(&mut state.scalar, index, &spec, config, tel));
         }
     }
@@ -1575,12 +1265,12 @@ fn process_unit(
     config: &SweepConfig,
 ) -> (
     Vec<ScenarioResult>,
-    BatchingStats,
-    DeltaSweepStats,
+    BatchCounters,
+    DeltaCounters,
     Option<Box<TelemetrySink>>,
 ) {
-    let mut stats = BatchingStats::default();
-    let mut delta_stats = DeltaSweepStats::default();
+    let mut stats = BatchCounters::default();
+    let mut delta_stats = DeltaCounters::default();
     // One telemetry shard per unit; `run_sweep` merges shards in unit
     // order at its single ordering point.
     let mut tel: Option<Box<TelemetrySink>> =
@@ -1595,8 +1285,8 @@ fn process_unit(
             let result = evaluate(&mut state.scalar, index, &spec, config, &mut tel);
             (vec![result], stats, delta_stats, tel)
         }
-        WorkUnit::Batch(groups) => {
-            let results = evaluate_batch(state, groups, config, &mut stats, &mut tel);
+        WorkUnit::Batch(group) => {
+            let results = evaluate_batch(state, group, config, &mut stats, &mut tel);
             (results, stats, delta_stats, tel)
         }
         WorkUnit::Delta(chain) => {
@@ -1630,17 +1320,17 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         EngineCaches::default,
         |state, _, unit| process_unit(state, unit, config),
     );
-    let mut batching = BatchingStats {
-        batch_width: config.batch_width.max(1),
-        ..BatchingStats::default()
+    let mut batching = BatchCounters {
+        batch_width: config.batch_width.max(1) as u64,
+        ..BatchCounters::default()
     };
-    let mut delta = DeltaSweepStats::default();
+    let mut delta = DeltaCounters::default();
     let mut results = Vec::with_capacity(scenarios.len());
     let mut telemetry: Option<TelemetrySink> = config.telemetry.then(TelemetrySink::new);
     for (unit_results, unit_stats, unit_delta, unit_tel) in processed {
         results.extend(unit_results);
-        batching.absorb(unit_stats);
-        delta.absorb(unit_delta);
+        batching.merge(&unit_stats);
+        delta.merge(&unit_delta);
         // Telemetry shards merge here too: `processed` is in unit order
         // for any thread count, so the aggregate is deterministic.
         if let (Some(total), Some(shard)) = (telemetry.as_mut(), unit_tel) {
@@ -2038,45 +1728,22 @@ mod tests {
     }
 
     #[test]
-    fn intra_unit_fan_out_is_bitwise_identical() {
-        // Two models, 17 scenarios, width 4: model A fills two groups with
-        // a single-lane leftover, model B fills two groups — so a fan-out
-        // of 2 packs each model's groups into one scoped-thread unit,
-        // including the flush path. Outcomes and the batching ledger must
-        // not notice.
-        let scenarios: Vec<ScenarioSpec> = (0..17)
-            .map(|i| ScenarioSpec {
-                label: format!("fan{i}"),
-                model: ModelSpec {
-                    kind: if i % 2 == 0 {
-                        ModelKind::Didactic { stages: 1 }
-                    } else {
-                        ModelKind::Pipeline { stages: 3, base: 50, per_unit: 2 }
-                    },
-                    padding: 0,
-                    backend: EvalBackend::Compiled,
-                },
-                trace: TraceSpec {
-                    tokens: 12 + 5 * (i % 3),
-                    min_size: 1,
-                    max_size: 32,
-                    mean_period: 300,
-                    seed: i,
-                },
-            })
-            .collect();
-        let base = SweepConfig { threads: 2, batch_width: 4, ..SweepConfig::default() };
-        let seq = run_sweep(&scenarios, &base);
-        let fan = run_sweep(&scenarios, &SweepConfig { intra_unit_batches: 2, ..base });
-        assert_eq!(seq.batching, fan.batching, "ledger independent of the fan-out");
-        assert_eq!(fan.batching.batches_formed, 4);
-        assert!(
-            fan.batching.kernel_scalar_sweeps > 0,
-            "width-4 batches take the per-element kernel path"
-        );
-        for (a, b) in seq.scenarios.iter().zip(&fan.scenarios) {
-            assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);
-            assert_eq!(a.batched, b.batched, "scenario {}", a.label);
+    fn delta_ejections_count_under_their_reason_label() {
+        for reason in [
+            DeltaUnsupported::MultiInput { inputs: 2 },
+            DeltaUnsupported::OutputAcks,
+            DeltaUnsupported::WorklistBackend,
+            DeltaUnsupported::StructureMismatch,
+        ] {
+            let mut stats = DeltaCounters::default();
+            count_delta_eject(&mut stats, reason);
+            let counted: Vec<_> = DeltaCounters::FIELDS
+                .iter()
+                .zip(stats.values())
+                .filter(|&(_, v)| v > 0)
+                .map(|(f, v)| (f.label, v))
+                .collect();
+            assert_eq!(counted, vec![(Some(("reason", reason.reason())), 1)]);
         }
     }
 
@@ -2124,7 +1791,7 @@ mod tests {
             "every planned sibling attaches: the planner only chains compiled \
              single-input ack-free families"
         );
-        assert_eq!(off.delta, DeltaSweepStats::default());
+        assert_eq!(off.delta, DeltaCounters::default());
         assert_eq!(on.batching, off.batching, "chaining must not change the batching ledger");
         for (a, b) in on.scenarios.iter().zip(&off.scenarios) {
             assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);

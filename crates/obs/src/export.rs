@@ -7,6 +7,7 @@
 
 use std::fmt::Write as _;
 
+use crate::counters::CounterField;
 use crate::metrics::MetricsSnapshot;
 
 fn family(out: &mut String, name: &str, help: &str, kind: &str) {
@@ -14,9 +15,21 @@ fn family(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-fn counter(out: &mut String, name: &str, help: &str, value: u64) {
-    family(out, name, help, "counter");
-    let _ = writeln!(out, "{name} {value}");
+/// Exposition lines of one counter family: one `# HELP`/`# TYPE` header
+/// per metric, then one sample per field (labelled fields share their
+/// metric's header).
+pub(crate) fn write_counters(out: &mut String, fields: &[CounterField], values: &[u64]) {
+    let mut metric = "";
+    for (f, v) in fields.iter().zip(values) {
+        if f.metric != metric {
+            metric = f.metric;
+            family(out, f.metric, f.help, f.kind);
+        }
+        let _ = match f.label {
+            Some((key, value)) => writeln!(out, "{}{{{key}=\"{value}\"}} {v}", f.metric),
+            None => writeln!(out, "{} {v}", f.metric),
+        };
+    }
 }
 
 fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
@@ -43,238 +56,11 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         if cfg!(debug_assertions) { "debug" } else { "release" },
     );
 
-    counter(
-        &mut out,
-        "evolve_engine_nodes_computed_total",
-        "Graph nodes computed across all iterations",
-        snapshot.engine.nodes_computed,
-    );
-    counter(
-        &mut out,
-        "evolve_engine_arcs_evaluated_total",
-        "Arc-weight evaluations performed",
-        snapshot.engine.arcs_evaluated,
-    );
-    counter(
-        &mut out,
-        "evolve_engine_iterations_completed_total",
-        "Iterations fully computed",
-        snapshot.engine.iterations_completed,
-    );
-    counter(
-        &mut out,
-        "evolve_engine_lanes_evaluated_total",
-        "Scenario lanes evaluated by batched engines",
-        snapshot.engine.lanes_evaluated,
-    );
-    counter(
-        &mut out,
-        "evolve_engine_batched_iterations_total",
-        "Lockstep batched sweeps performed",
-        snapshot.engine.batched_iterations,
-    );
-
-    counter(
-        &mut out,
-        "evolve_ff_promotions_total",
-        "Fast-forward promotions to template replay",
-        snapshot.ff.promotions,
-    );
-    counter(
-        &mut out,
-        "evolve_ff_demotions_total",
-        "Fast-forward demotions back to the full sweep",
-        snapshot.ff.demotions,
-    );
-    counter(
-        &mut out,
-        "evolve_ff_fast_forwarded_iterations_total",
-        "Iterations answered by template replay",
-        snapshot.ff.fast_forwarded_iterations,
-    );
-
-    family(
-        &mut out,
-        "evolve_batch_width",
-        "Configured lockstep batch width",
-        "gauge",
-    );
-    let _ = writeln!(out, "evolve_batch_width {}", snapshot.batch.batch_width);
-    counter(
-        &mut out,
-        "evolve_batch_batches_formed_total",
-        "Lockstep batches driven to completion",
-        snapshot.batch.batches_formed,
-    );
-    counter(
-        &mut out,
-        "evolve_batch_lanes_batched_total",
-        "Scenarios evaluated as lanes of a batch",
-        snapshot.batch.lanes_batched,
-    );
-    counter(
-        &mut out,
-        "evolve_batch_lanes_scalar_total",
-        "Scenarios evaluated on the scalar path",
-        snapshot.batch.lanes_scalar,
-    );
-    counter(
-        &mut out,
-        "evolve_batch_lockstep_iterations_total",
-        "Lockstep sweeps executed across all batches",
-        snapshot.batch.lockstep_iterations,
-    );
-    family(
-        &mut out,
-        "evolve_batch_kernel_sweeps_total",
-        "Lockstep sweeps by fold-kernel dispatch path",
-        "counter",
-    );
-    for (path, value) in [
-        ("chunked", snapshot.batch.kernel_chunked_sweeps),
-        ("scalar", snapshot.batch.kernel_scalar_sweeps),
-    ] {
-        let _ = writeln!(out, "evolve_batch_kernel_sweeps_total{{path=\"{path}\"}} {value}");
-    }
-    family(
-        &mut out,
-        "evolve_batch_ejections_total",
-        "Scenarios ejected from batching to the scalar path, by reason",
-        "counter",
-    );
-    for (reason, value) in [
-        ("worklist", snapshot.batch.eject_worklist),
-        ("empty_trace", snapshot.batch.eject_empty_trace),
-        ("single_lane", snapshot.batch.eject_single_lane),
-        ("unsupported", snapshot.batch.eject_unsupported),
-    ] {
-        let _ = writeln!(out, "evolve_batch_ejections_total{{reason=\"{reason}\"}} {value}");
-    }
-
-    counter(
-        &mut out,
-        "evolve_delta_chains_formed_total",
-        "Base+sibling delta chains formed by the sweep planner",
-        snapshot.delta.chains_formed,
-    );
-    counter(
-        &mut out,
-        "evolve_delta_lanes_base_total",
-        "Scenarios evaluated as fully-swept delta-chain bases",
-        snapshot.delta.lanes_base,
-    );
-    counter(
-        &mut out,
-        "evolve_delta_lanes_delta_total",
-        "Scenarios evaluated against a base cache",
-        snapshot.delta.lanes_delta,
-    );
-    counter(
-        &mut out,
-        "evolve_delta_calls_total",
-        "Input offers answered by the delta sweep",
-        snapshot.delta.calls_delta,
-    );
-    counter(
-        &mut out,
-        "evolve_delta_calls_full_total",
-        "Offers a delta-linked engine evaluated fully",
-        snapshot.delta.calls_full,
-    );
-    counter(
-        &mut out,
-        "evolve_delta_nodes_reused_total",
-        "Node instants copied from the base cache",
-        snapshot.delta.nodes_reused,
-    );
-    counter(
-        &mut out,
-        "evolve_delta_nodes_recomputed_total",
-        "Node instants recomputed by the change frontier",
-        snapshot.delta.nodes_recomputed,
-    );
-    counter(
-        &mut out,
-        "evolve_delta_nodes_settled_total",
-        "Recomputed instants that matched the cache (frontier early-out)",
-        snapshot.delta.nodes_settled,
-    );
-    counter(
-        &mut out,
-        "evolve_delta_frontier_collapses_total",
-        "Delta calls that recomputed zero nodes",
-        snapshot.delta.frontier_collapses,
-    );
-    family(
-        &mut out,
-        "evolve_delta_ejections_total",
-        "Scenarios ejected from delta chains to full evaluation, by reason",
-        "counter",
-    );
-    for (reason, value) in [
-        ("multi_input", snapshot.delta.eject_multi_input),
-        ("output_acks", snapshot.delta.eject_output_acks),
-        ("worklist", snapshot.delta.eject_worklist),
-        ("structure_mismatch", snapshot.delta.eject_structure_mismatch),
-    ] {
-        let _ = writeln!(out, "evolve_delta_ejections_total{{reason=\"{reason}\"}} {value}");
-    }
-
-    counter(
-        &mut out,
-        "evolve_serve_connections_total",
-        "Client connections accepted by the serve daemon",
-        snapshot.serve.connections,
-    );
-    counter(
-        &mut out,
-        "evolve_serve_requests_total",
-        "Requests admitted into shard queues",
-        snapshot.serve.requests,
-    );
-    counter(
-        &mut out,
-        "evolve_serve_rejected_total",
-        "Requests shed with a BUSY response (queue over max_queue_depth)",
-        snapshot.serve.rejected,
-    );
-    counter(
-        &mut out,
-        "evolve_serve_responses_total",
-        "Successful evaluation responses written",
-        snapshot.serve.responses,
-    );
-    counter(
-        &mut out,
-        "evolve_serve_errors_total",
-        "Error responses written",
-        snapshot.serve.errors,
-    );
-    family(
-        &mut out,
-        "evolve_serve_batches_total",
-        "Affinity batches dispatched, by trigger",
-        "counter",
-    );
-    for (trigger, value) in [
-        ("full", snapshot.serve.batches_full),
-        ("deadline", snapshot.serve.batches_deadline),
-    ] {
-        let _ = writeln!(out, "evolve_serve_batches_total{{trigger=\"{trigger}\"}} {value}");
-    }
-    family(
-        &mut out,
-        "evolve_serve_lanes_total",
-        "Request lanes evaluated, by path",
-        "counter",
-    );
-    for (path, value) in [
-        ("batched", snapshot.serve.lanes_batched),
-        ("scalar", snapshot.serve.lanes_scalar),
-        ("delta", snapshot.serve.lanes_delta),
-    ] {
-        let _ = writeln!(out, "evolve_serve_lanes_total{{path=\"{path}\"}} {value}");
-    }
+    snapshot.engine.write_prometheus(&mut out);
+    snapshot.ff.write_prometheus(&mut out);
+    snapshot.batch.write_prometheus(&mut out);
+    snapshot.delta.write_prometheus(&mut out);
+    snapshot.serve.write_prometheus(&mut out);
 
     if let Some(gauges) = &snapshot.serve_gauges {
         gauge(
@@ -335,33 +121,18 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         }
     }
 
-    family(
-        &mut out,
-        "evolve_events_total",
-        "Engine lifecycle events observed, by kind",
-        "counter",
-    );
-    for (kind, value) in [
-        ("attach", snapshot.events.attaches),
-        ("offer", snapshot.events.offers),
-        ("offer_replayed", snapshot.events.replayed_offers),
-        ("batch_sweep", snapshot.events.batch_sweeps),
-        ("batch_sweep_replayed", snapshot.events.replayed_batch_sweeps),
-        ("output_ack", snapshot.events.output_acks),
-        ("ff_promoted", snapshot.events.promotions),
-        ("ff_demoted", snapshot.events.demotions),
-        ("lane_ejected", snapshot.events.lane_ejections),
-        ("overflow", snapshot.events.overflows),
-        ("reset", snapshot.events.resets),
-    ] {
-        let _ = writeln!(out, "evolve_events_total{{kind=\"{kind}\"}} {value}");
-    }
+    snapshot.events.write_prometheus(&mut out);
 
-    counter(
+    family(
         &mut out,
         "evolve_boundary_events_total",
         "Interface instants the equivalent model still simulates",
-        snapshot.events.boundary_events(),
+        "counter",
+    );
+    let _ = writeln!(
+        out,
+        "evolve_boundary_events_total {}",
+        snapshot.events.boundary_events()
     );
 
     family(
@@ -483,68 +254,14 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
 
 #[cfg(test)]
 mod tests {
-    use evolve_des::Time;
-    use evolve_model::{ExecRecord, FunctionId, ResourceId};
-
     use crate::metrics::TelemetrySink;
-    use crate::Observer as _;
 
     use super::*;
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let mut sink = TelemetrySink::new();
-        sink.on_records(
-            0,
-            &[ExecRecord {
-                resource: ResourceId::from_index(2),
-                function: FunctionId::from_index(0),
-                stmt: 0,
-                k: 0,
-                start: Time::from_ticks(0),
-                end: Time::from_ticks(10),
-                ops: 100,
-            }],
-        );
-        sink.on_event(crate::EngineEvent::Offer {
-            k: 0,
-            lane: 0,
-            replayed: false,
-        });
-        sink.record_serve(crate::ServeCounters {
-            requests: 5,
-            rejected: 2,
-            batches_full: 1,
-            lanes_batched: 4,
-            ..crate::ServeCounters::default()
-        });
-        let text = prometheus(&sink.snapshot());
-        assert!(text.contains("# TYPE evolve_engine_nodes_computed_total counter"));
-        assert!(text.contains("evolve_serve_requests_total 5"));
-        assert!(text.contains("evolve_serve_rejected_total 2"));
-        assert!(text.contains("evolve_serve_batches_total{trigger=\"full\"} 1"));
-        assert!(text.contains("evolve_serve_lanes_total{path=\"batched\"} 4"));
-        assert!(text.contains("evolve_resource_busy_ticks_total{resource=\"2\"} 10"));
-        assert!(text.contains("evolve_events_total{kind=\"offer\"} 1"));
-        assert!(text.contains("evolve_resource_exec_duration_ticks_bucket{resource=\"2\",le=\"16\"} 1"));
-        assert!(text.contains("evolve_resource_exec_duration_ticks_bucket{resource=\"2\",le=\"+Inf\"} 1"));
-        assert!(text.ends_with('\n'));
-    }
 
     #[test]
     fn empty_snapshot_renders_nan_ratio() {
         let text = prometheus(&TelemetrySink::new().snapshot());
         assert!(text.contains("evolve_event_ratio NaN"));
-    }
-
-    #[test]
-    fn build_info_always_present() {
-        let text = prometheus(&TelemetrySink::new().snapshot());
-        assert!(text.contains("# TYPE evolve_build_info gauge"));
-        assert!(text.contains(&format!(
-            "evolve_build_info{{version=\"{}\",profile=\"",
-            env!("CARGO_PKG_VERSION")
-        )));
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   ([`LogHistogram`]), and the live event-ratio gauge of the paper's
 //!   Table I; [`PeriodUsage`] folds a one-period template analytically
 //!   (period count × per-period usage) for promoted lanes;
+//! - [`counters`] — the engine, fast-forward, batching, delta, serve and
+//!   event counter families, each declared once; struct, merge, JSON,
+//!   Prometheus lines and catalogue rows are generated from it;
 //! - exporters — Prometheus text exposition ([`prometheus`]), JSON
 //!   ([`MetricsSnapshot::to_json`] over the in-tree [`json::Json`]
 //!   emitter), and Chrome trace-event JSON for Perfetto
@@ -29,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod counters;
 pub mod event;
 pub mod export;
 pub mod flight;
@@ -41,10 +45,13 @@ pub use event::{BackendKind, EjectReason, EngineEvent};
 pub use export::prometheus;
 pub use flight::{FlightRecorder, FlightSpan, Phase, TrackId};
 pub use json::Json;
+pub use counters::{
+    catalogue_rows, BatchCounters, CounterField, DeltaCounters, EngineCounters, EventCounters,
+    FfCounters, ServeCounters,
+};
 pub use metrics::{
-    BatchCounters, DeltaCounters, EngineCounters, EventCounters, FfCounters, FoldedResource,
-    LogHistogram, MetricsSnapshot, PeriodUsage, PhaseSnapshot, ResourceMetrics, ResourceSnapshot,
-    ServeCounters, ServeGauges, TelemetrySink,
+    FoldedResource, LogHistogram, MetricsSnapshot, PeriodUsage, PhaseSnapshot, ResourceMetrics,
+    ResourceSnapshot, ServeGauges, TelemetrySink,
 };
 pub use observer::{downcast, NullObserver, Observer};
 pub use trace::TraceCollector;

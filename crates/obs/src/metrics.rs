@@ -17,6 +17,9 @@ use std::any::Any;
 
 use evolve_model::ExecRecord;
 
+use crate::counters::{
+    BatchCounters, DeltaCounters, EngineCounters, EventCounters, FfCounters, ServeCounters,
+};
 use crate::event::{BackendKind, EngineEvent};
 use crate::json::Json;
 use crate::observer::{Observer, Sealed};
@@ -270,252 +273,6 @@ impl ResourceMetrics {
     }
 }
 
-/// Engine work counters — the obs-side mirror of `EngineStats`
-/// (`evolve-core` provides `From<EngineStats>`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineCounters {
-    /// Nodes computed across all iterations.
-    pub nodes_computed: u64,
-    /// Arc-weight evaluations performed.
-    pub arcs_evaluated: u64,
-    /// Iterations fully computed.
-    pub iterations_completed: u64,
-    /// Scenario lanes evaluated by batched engines.
-    pub lanes_evaluated: u64,
-    /// Lockstep batched sweeps performed.
-    pub batched_iterations: u64,
-}
-
-impl EngineCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &EngineCounters) {
-        self.nodes_computed += other.nodes_computed;
-        self.arcs_evaluated += other.arcs_evaluated;
-        self.iterations_completed += other.iterations_completed;
-        self.lanes_evaluated += other.lanes_evaluated;
-        self.batched_iterations += other.batched_iterations;
-    }
-}
-
-/// Fast-forward counters — the obs-side mirror of `FastForwardStats`
-/// minus the regime payload (regimes are listed separately in the
-/// snapshot; `evolve-core` provides `From<FastForwardStats>`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FfCounters {
-    /// Times a detector promoted to fast-forward replay.
-    pub promotions: u64,
-    /// Times a pattern break demoted back to the full sweep.
-    pub demotions: u64,
-    /// Iterations answered by template replay instead of a sweep.
-    pub fast_forwarded_iterations: u64,
-}
-
-impl FfCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &FfCounters) {
-        self.promotions += other.promotions;
-        self.demotions += other.demotions;
-        self.fast_forwarded_iterations += other.fast_forwarded_iterations;
-    }
-}
-
-/// Batching counters — the obs-side mirror of the sweep layer's
-/// `BatchingStats` (`evolve-explore` provides `From<BatchingStats>`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchCounters {
-    /// Configured lockstep batch width.
-    pub batch_width: u64,
-    /// Lockstep batches driven to completion.
-    pub batches_formed: u64,
-    /// Scenarios evaluated as lanes of a batch.
-    pub lanes_batched: u64,
-    /// Scenarios evaluated on the scalar path.
-    pub lanes_scalar: u64,
-    /// Lockstep sweeps executed across all batches.
-    pub lockstep_iterations: u64,
-    /// Lockstep sweeps dispatched to the lane-chunked fold kernels
-    /// (lane stride a multiple of the SIMD chunk).
-    pub kernel_chunked_sweeps: u64,
-    /// Lockstep sweeps dispatched to the per-element reference kernels
-    /// (narrow batches below one chunk).
-    pub kernel_scalar_sweeps: u64,
-    /// Lanes ejected: model on the worklist backend.
-    pub eject_worklist: u64,
-    /// Lanes ejected: trace offers no tokens.
-    pub eject_empty_trace: u64,
-    /// Lanes ejected: leftover single lane of a model group.
-    pub eject_single_lane: u64,
-    /// Lanes ejected: batched engine rejected the graph shape.
-    pub eject_unsupported: u64,
-}
-
-impl BatchCounters {
-    /// Adds `other` into this counter set (widths take the max).
-    pub fn merge(&mut self, other: &BatchCounters) {
-        self.batch_width = self.batch_width.max(other.batch_width);
-        self.batches_formed += other.batches_formed;
-        self.lanes_batched += other.lanes_batched;
-        self.lanes_scalar += other.lanes_scalar;
-        self.lockstep_iterations += other.lockstep_iterations;
-        self.kernel_chunked_sweeps += other.kernel_chunked_sweeps;
-        self.kernel_scalar_sweeps += other.kernel_scalar_sweeps;
-        self.eject_worklist += other.eject_worklist;
-        self.eject_empty_trace += other.eject_empty_trace;
-        self.eject_single_lane += other.eject_single_lane;
-        self.eject_unsupported += other.eject_unsupported;
-    }
-}
-
-/// Delta-evaluation counters — the obs-side mirror of the engine's
-/// `DeltaStats` plus the sweep layer's chain bookkeeping (`evolve-core`
-/// provides `From<DeltaStats>`, `evolve-explore` `From<DeltaSweepStats>`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeltaCounters {
-    /// Base+sibling chains formed by the sweep planner.
-    pub chains_formed: u64,
-    /// Scenarios evaluated as the fully-swept base of a chain.
-    pub lanes_base: u64,
-    /// Scenarios evaluated against a base cache.
-    pub lanes_delta: u64,
-    /// Calls answered by the delta sweep (clean copy or frontier recompute).
-    pub calls_delta: u64,
-    /// Calls a delta-linked engine evaluated fully (beyond the cached
-    /// rows, or after a worklist fallback).
-    pub calls_full: u64,
-    /// Node instants copied from the base cache without recomputation.
-    pub nodes_reused: u64,
-    /// Node instants recomputed because an input of the fold changed.
-    pub nodes_recomputed: u64,
-    /// Recomputed nodes whose instant matched the cache (max-plus
-    /// early-out: their downstream dependents stay clean).
-    pub nodes_settled: u64,
-    /// Delta calls that recomputed zero nodes (the change frontier
-    /// collapsed before reaching any instant).
-    pub frontier_collapses: u64,
-    /// Lanes ejected: the graph has multiple external inputs.
-    pub eject_multi_input: u64,
-    /// Lanes ejected: the graph has acknowledged outputs.
-    pub eject_output_acks: u64,
-    /// Lanes ejected: the engine runs the worklist backend.
-    pub eject_worklist: u64,
-    /// Lanes ejected: the sibling's compiled structure differs from the
-    /// base cache.
-    pub eject_structure_mismatch: u64,
-}
-
-impl DeltaCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &DeltaCounters) {
-        self.chains_formed += other.chains_formed;
-        self.lanes_base += other.lanes_base;
-        self.lanes_delta += other.lanes_delta;
-        self.calls_delta += other.calls_delta;
-        self.calls_full += other.calls_full;
-        self.nodes_reused += other.nodes_reused;
-        self.nodes_recomputed += other.nodes_recomputed;
-        self.nodes_settled += other.nodes_settled;
-        self.frontier_collapses += other.frontier_collapses;
-        self.eject_multi_input += other.eject_multi_input;
-        self.eject_output_acks += other.eject_output_acks;
-        self.eject_worklist += other.eject_worklist;
-        self.eject_structure_mismatch += other.eject_structure_mismatch;
-    }
-}
-
-/// Counts of observed [`EngineEvent`]s.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EventCounters {
-    /// Observers attached to engines.
-    pub attaches: u64,
-    /// Scalar input offers evaluated.
-    pub offers: u64,
-    /// Offers answered by fast-forward replay.
-    pub replayed_offers: u64,
-    /// Lockstep batched calls evaluated.
-    pub batch_sweeps: u64,
-    /// Batched calls answered entirely from templates.
-    pub replayed_batch_sweeps: u64,
-    /// Output acknowledgments fed back.
-    pub output_acks: u64,
-    /// Fast-forward promotions observed.
-    pub promotions: u64,
-    /// Fast-forward demotions observed.
-    pub demotions: u64,
-    /// Lanes ejected to the scalar path.
-    pub lane_ejections: u64,
-    /// Offers rejected with a tick overflow.
-    pub overflows: u64,
-    /// Engine resets (scenario boundaries under reuse).
-    pub resets: u64,
-}
-
-impl EventCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &EventCounters) {
-        self.attaches += other.attaches;
-        self.offers += other.offers;
-        self.replayed_offers += other.replayed_offers;
-        self.batch_sweeps += other.batch_sweeps;
-        self.replayed_batch_sweeps += other.replayed_batch_sweeps;
-        self.output_acks += other.output_acks;
-        self.promotions += other.promotions;
-        self.demotions += other.demotions;
-        self.lane_ejections += other.lane_ejections;
-        self.overflows += other.overflows;
-        self.resets += other.resets;
-    }
-
-    /// Boundary events: interface instants the equivalent model still
-    /// simulates (offers in, acknowledgments out).
-    pub fn boundary_events(&self) -> u64 {
-        self.offers + self.output_acks
-    }
-}
-
-/// Serving-layer counters recorded by the `evolve-serve` daemon: request
-/// admission, batch formation, and the evaluation path each request lane
-/// took. Counted by the shard workers and merged into the daemon's
-/// `/metrics` snapshot alongside the engine counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeCounters {
-    /// Client connections accepted.
-    pub connections: u64,
-    /// Requests admitted into a shard's queue.
-    pub requests: u64,
-    /// Requests shed with a BUSY response (queue over `max_queue_depth`).
-    pub rejected: u64,
-    /// Successful evaluation responses written.
-    pub responses: u64,
-    /// Error responses written (malformed or failing requests).
-    pub errors: u64,
-    /// Affinity batches dispatched because lanes filled the batch width.
-    pub batches_full: u64,
-    /// Affinity batches dispatched at the `max_batch_delay` deadline.
-    pub batches_deadline: u64,
-    /// Request lanes evaluated inside a lockstep batch.
-    pub lanes_batched: u64,
-    /// Request lanes evaluated on the scalar path (ejected or singleton).
-    pub lanes_scalar: u64,
-    /// Request lanes evaluated as a delta against a family base cache.
-    pub lanes_delta: u64,
-}
-
-impl ServeCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &ServeCounters) {
-        self.connections += other.connections;
-        self.requests += other.requests;
-        self.rejected += other.rejected;
-        self.responses += other.responses;
-        self.errors += other.errors;
-        self.batches_full += other.batches_full;
-        self.batches_deadline += other.batches_deadline;
-        self.lanes_batched += other.lanes_batched;
-        self.lanes_scalar += other.lanes_scalar;
-        self.lanes_delta += other.lanes_delta;
-    }
-}
-
 /// The streaming telemetry observer: counters plus per-lane per-resource
 /// accumulators, mergeable across worker shards.
 #[derive(Debug, Default)]
@@ -549,7 +306,7 @@ impl TelemetrySink {
     }
 
     /// Folds an engine's work counters into the sink (drivers call this
-    /// after each drive with `EngineStats::into()`).
+    /// after each drive with the engine's `EngineStats`).
     pub fn record_engine(&mut self, counters: EngineCounters) {
         self.engine.merge(&counters);
     }
@@ -863,132 +620,30 @@ impl MetricsSnapshot {
                 ),
             ])
         };
+        let mut fast_forward = self.ff.json_fields();
+        fast_forward.push((
+            "regimes".to_string(),
+            Json::Array(
+                self.regimes
+                    .iter()
+                    .map(|(g, p)| {
+                        Json::object([("growth", Json::U64(*g)), ("period", Json::U64(*p))])
+                    })
+                    .collect(),
+            ),
+        ));
+        let mut events = self.events.json_fields();
+        events.push((
+            "boundary_events".to_string(),
+            Json::U64(self.events.boundary_events()),
+        ));
         Json::object([
-            (
-                "engine",
-                Json::object([
-                    ("nodes_computed", Json::U64(self.engine.nodes_computed)),
-                    ("arcs_evaluated", Json::U64(self.engine.arcs_evaluated)),
-                    (
-                        "iterations_completed",
-                        Json::U64(self.engine.iterations_completed),
-                    ),
-                    ("lanes_evaluated", Json::U64(self.engine.lanes_evaluated)),
-                    (
-                        "batched_iterations",
-                        Json::U64(self.engine.batched_iterations),
-                    ),
-                ]),
-            ),
-            (
-                "fast_forward",
-                Json::object([
-                    ("promotions", Json::U64(self.ff.promotions)),
-                    ("demotions", Json::U64(self.ff.demotions)),
-                    (
-                        "fast_forwarded_iterations",
-                        Json::U64(self.ff.fast_forwarded_iterations),
-                    ),
-                    (
-                        "regimes",
-                        Json::Array(
-                            self.regimes
-                                .iter()
-                                .map(|(g, p)| {
-                                    Json::object([
-                                        ("growth", Json::U64(*g)),
-                                        ("period", Json::U64(*p)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "batching",
-                Json::object([
-                    ("batch_width", Json::U64(self.batch.batch_width)),
-                    ("batches_formed", Json::U64(self.batch.batches_formed)),
-                    ("lanes_batched", Json::U64(self.batch.lanes_batched)),
-                    ("lanes_scalar", Json::U64(self.batch.lanes_scalar)),
-                    (
-                        "lockstep_iterations",
-                        Json::U64(self.batch.lockstep_iterations),
-                    ),
-                    (
-                        "kernel_chunked_sweeps",
-                        Json::U64(self.batch.kernel_chunked_sweeps),
-                    ),
-                    (
-                        "kernel_scalar_sweeps",
-                        Json::U64(self.batch.kernel_scalar_sweeps),
-                    ),
-                    ("eject_worklist", Json::U64(self.batch.eject_worklist)),
-                    ("eject_empty_trace", Json::U64(self.batch.eject_empty_trace)),
-                    ("eject_single_lane", Json::U64(self.batch.eject_single_lane)),
-                    ("eject_unsupported", Json::U64(self.batch.eject_unsupported)),
-                ]),
-            ),
-            (
-                "delta",
-                Json::object([
-                    ("chains_formed", Json::U64(self.delta.chains_formed)),
-                    ("lanes_base", Json::U64(self.delta.lanes_base)),
-                    ("lanes_delta", Json::U64(self.delta.lanes_delta)),
-                    ("calls_delta", Json::U64(self.delta.calls_delta)),
-                    ("calls_full", Json::U64(self.delta.calls_full)),
-                    ("nodes_reused", Json::U64(self.delta.nodes_reused)),
-                    ("nodes_recomputed", Json::U64(self.delta.nodes_recomputed)),
-                    ("nodes_settled", Json::U64(self.delta.nodes_settled)),
-                    (
-                        "frontier_collapses",
-                        Json::U64(self.delta.frontier_collapses),
-                    ),
-                    ("eject_multi_input", Json::U64(self.delta.eject_multi_input)),
-                    ("eject_output_acks", Json::U64(self.delta.eject_output_acks)),
-                    ("eject_worklist", Json::U64(self.delta.eject_worklist)),
-                    (
-                        "eject_structure_mismatch",
-                        Json::U64(self.delta.eject_structure_mismatch),
-                    ),
-                ]),
-            ),
-            (
-                "serve",
-                Json::object([
-                    ("connections", Json::U64(self.serve.connections)),
-                    ("requests", Json::U64(self.serve.requests)),
-                    ("rejected", Json::U64(self.serve.rejected)),
-                    ("responses", Json::U64(self.serve.responses)),
-                    ("errors", Json::U64(self.serve.errors)),
-                    ("batches_full", Json::U64(self.serve.batches_full)),
-                    ("batches_deadline", Json::U64(self.serve.batches_deadline)),
-                    ("lanes_batched", Json::U64(self.serve.lanes_batched)),
-                    ("lanes_scalar", Json::U64(self.serve.lanes_scalar)),
-                    ("lanes_delta", Json::U64(self.serve.lanes_delta)),
-                ]),
-            ),
-            (
-                "events",
-                Json::object([
-                    ("attaches", Json::U64(self.events.attaches)),
-                    ("offers", Json::U64(self.events.offers)),
-                    ("replayed_offers", Json::U64(self.events.replayed_offers)),
-                    ("batch_sweeps", Json::U64(self.events.batch_sweeps)),
-                    (
-                        "replayed_batch_sweeps",
-                        Json::U64(self.events.replayed_batch_sweeps),
-                    ),
-                    ("output_acks", Json::U64(self.events.output_acks)),
-                    ("promotions", Json::U64(self.events.promotions)),
-                    ("demotions", Json::U64(self.events.demotions)),
-                    ("lane_ejections", Json::U64(self.events.lane_ejections)),
-                    ("overflows", Json::U64(self.events.overflows)),
-                    ("resets", Json::U64(self.events.resets)),
-                    ("boundary_events", Json::U64(self.events.boundary_events())),
-                ]),
-            ),
+            ("engine", self.engine.to_json()),
+            ("fast_forward", Json::Object(fast_forward)),
+            ("batching", self.batch.to_json()),
+            ("delta", self.delta.to_json()),
+            ("serve", self.serve.to_json()),
+            ("events", Json::Object(events)),
             (
                 "event_ratio",
                 self.event_ratio().map_or(Json::Null, Json::F64),
@@ -1450,15 +1105,6 @@ mod tests {
         let mut empty = MetricsSnapshot::default();
         empty.merge(&snap);
         assert_eq!(empty, snap);
-    }
-
-    #[test]
-    fn snapshot_json_renders() {
-        let mut sink = TelemetrySink::new();
-        sink.on_records(0, &[rec(0, 0, 10, 100)]);
-        let doc = sink.snapshot().to_json().render();
-        assert!(doc.contains("\"busy_ticks\":10"));
-        assert!(doc.contains("\"event_ratio\":null"));
     }
 
     #[test]

@@ -334,8 +334,8 @@ impl Worker {
         for (lane, (job, outcome)) in jobs.into_iter().zip(outcomes).enumerate() {
             let ff = prepared.engine.lane_fast_forward_stats(lane);
             if let Some(sink) = self.sink.as_deref_mut() {
-                sink.record_engine(outcome.engine_stats.into());
-                sink.record_ff(ff.into());
+                sink.record_engine(outcome.engine_stats);
+                sink.record_ff(ff.counters);
             }
             self.counters.lanes_batched += 1;
             let resp = eval_ok(job.id, &outcome, ff, None, true, n as u32);
@@ -378,8 +378,8 @@ impl Worker {
             ..
         } = drive;
         if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record_engine(outcome.engine_stats.into());
-            sink.record_ff(fast_forward.into());
+            sink.record_engine(outcome.engine_stats);
+            sink.record_ff(fast_forward.counters);
         }
         let mut attached: Option<DeltaStats> = None;
         match delta {
@@ -398,9 +398,10 @@ impl Worker {
                 attached = Some(stats);
                 self.counters.lanes_delta += 1;
                 if let Some(sink) = self.sink.as_deref_mut() {
-                    let mut dc: DeltaCounters = stats.into();
-                    dc.lanes_delta = 1;
-                    sink.record_delta(dc);
+                    sink.record_delta(DeltaCounters {
+                        lanes_delta: 1,
+                        ..stats
+                    });
                 }
             }
             DeltaLaneOutcome::NotRequested
