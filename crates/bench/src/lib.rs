@@ -636,25 +636,12 @@ pub fn batch_grid(
             *checksum = drive_iterations_sized(&mut engine, iterations, lane_size(slot)).1;
         }
 
-        // Repetitions alternate the widths (and their order), as in
-        // `backend_grid`, so a host speed-state change shifts every
-        // width's best-of-reps figure alike instead of skewing the gains.
-        let mut engines: Vec<BatchedEngine> = widths
-            .iter()
-            .map(|&width| {
-                assert!(width > 0, "batch width must be at least one lane");
-                BatchedEngine::try_new(derived.clone(), relations, false, width)
-                    .expect("padded pipelines are batchable")
-            })
-            .collect();
-        let mut best = vec![f64::INFINITY; widths.len()];
-        for rep in 0..reps {
-            let mut order: Vec<usize> = (0..widths.len()).collect();
-            if rep % 2 == 1 {
-                order.reverse();
-            }
-            for slot in order {
-                let (width, engine) = (widths[slot], &mut engines[slot]);
+        for &width in widths {
+            assert!(width > 0, "batch width must be at least one lane");
+            let mut engine = BatchedEngine::try_new(derived.clone(), relations, false, width)
+                .expect("padded pipelines are batchable");
+            let mut best = f64::INFINITY;
+            for rep in 0..reps {
                 if rep > 0 {
                     engine.reset(width);
                 }
@@ -680,16 +667,14 @@ pub fn batch_grid(
                         "lane {l} diverged from the scalar engine at {nodes} nodes width {width}"
                     );
                 }
-                best[slot] = best[slot]
+                best = best
                     .min(wall.as_secs_f64() * 1e9 / (iterations as f64 * width as f64));
             }
-        }
-        for (&width, ns_per_lane_iter) in widths.iter().zip(best) {
             out.push(BatchPoint {
                 nodes,
                 width,
                 iterations,
-                ns_per_lane_iter,
+                ns_per_lane_iter: best,
             });
         }
     }

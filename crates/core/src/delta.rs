@@ -306,4 +306,24 @@ mod tests {
         assert_eq!(DeltaUnsupported::StructureMismatch.reason(), "structure_mismatch");
         assert!(DeltaUnsupported::OutputAcks.to_string().contains("acknowledged"));
     }
+
+    #[test]
+    fn stats_merge_adds_counters() {
+        let mut a = DeltaStats {
+            calls_delta: 1,
+            calls_full: 2,
+            nodes_reused: 3,
+            nodes_recomputed: 4,
+            nodes_settled: 5,
+            frontier_collapses: 6,
+            ..DeltaStats::default()
+        };
+        a.merge(&a.clone());
+        assert_eq!(a.calls_delta, 2);
+        assert_eq!(a.frontier_collapses, 12);
+        let counters: evolve_obs::DeltaCounters = a;
+        assert_eq!(counters.calls_delta, 2);
+        assert_eq!(counters.nodes_settled, 10);
+        assert_eq!(counters.lanes_delta, 0, "chain bookkeeping stays zero");
+    }
 }

@@ -183,10 +183,9 @@ pub fn prepare_batch(
 pub struct EngineCaches {
     /// Scalar engines, one per distinct spec.
     pub scalar: HashMap<ModelSpec, PreparedModel>,
-    /// Batched engine pools (or the model's typed rejection, discovered
-    /// once), one per distinct spec. An engine is popped for the length of
-    /// a drive and pushed back, so the owner can borrow itself meanwhile.
-    pub batch: HashMap<ModelSpec, Result<Vec<PreparedBatch>, BatchUnsupported>>,
+    /// Batched engines (or the model's typed rejection, discovered once),
+    /// one per distinct spec; an engine re-lanes on reset.
+    pub batch: HashMap<ModelSpec, Result<PreparedBatch, BatchUnsupported>>,
 }
 
 impl EngineCaches {

@@ -1071,8 +1071,7 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
 /// Evaluates one lockstep batch of same-model lanes. If the model turns
 /// out to be unsupported by [`BatchedEngine`] (discovered once per model,
 /// then cached), every lane is ejected to the scalar path. The prepared
-/// engine comes from (and returns to) a per-model pool, so steady-state
-/// batches allocate nothing.
+/// engine is cached per model, so steady-state batches allocate nothing.
 fn evaluate_batch(
     state: &mut EngineCaches,
     group: BatchGroup,
@@ -1085,9 +1084,9 @@ fn evaluate_batch(
     let entry = state
         .batch
         .entry(model.clone())
-        .or_insert_with(|| prepare_batch(model, &options, group.len()).map(|p| vec![p]));
-    let pool = match entry {
-        Ok(pool) => pool,
+        .or_insert_with(|| prepare_batch(model, &options, group.len()));
+    let prepared = match entry {
+        Ok(prepared) => prepared,
         Err(_) => {
             let mut out = Vec::new();
             for (index, spec) in &group {
@@ -1104,18 +1103,11 @@ fn evaluate_batch(
             return out;
         }
     };
-    // Engines re-lane on reset. Support is a property of the graph shape,
-    // not the lane count, so preparing another engine cannot fail here.
-    let mut prepared = match pool.pop() {
-        Some(prepared) => prepared,
-        None => prepare_batch(model, &options, group.len())
-            .expect("batch support is per model shape, decided above"),
-    };
 
     let width = group.len();
     let stimuli: Vec<Stimulus> = group.iter().map(|(_, s)| s.trace.stimulus()).collect();
     let traces: Vec<&[Arrival]> = stimuli.iter().map(|s| s.arrivals()).collect();
-    let (outcomes, reused_engine, batch_wall) = drive_prepared_batch(&mut prepared, &traces, tel);
+    let (outcomes, reused_engine, batch_wall) = drive_prepared_batch(prepared, &traces, tel);
     // Per-lane amortized cost, comparable to the scalar wall.
     let wall = batch_wall / width as u32;
 
@@ -1126,7 +1118,7 @@ fn evaluate_batch(
     stats.kernel_chunked_sweeps += kernel.chunked_sweeps;
     stats.kernel_scalar_sweeps += kernel.scalar_sweeps;
 
-    let results = group
+    group
         .into_iter()
         .zip(outcomes)
         .zip(stimuli)
@@ -1157,9 +1149,7 @@ fn evaluate_batch(
                 reference,
             }
         })
-        .collect();
-    pool.push(prepared);
-    results
+        .collect()
 }
 
 /// Books one scalar evaluation into the batching counters and telemetry —

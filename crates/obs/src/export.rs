@@ -5,10 +5,10 @@
 //! names, labels for per-resource series, and `_bucket`/`_sum`/`_count`
 //! series for the log-bucketed duration histograms.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 use crate::counters::CounterField;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{LogHistogram, MetricsSnapshot, ResourceSnapshot};
 
 fn family(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
@@ -31,6 +31,26 @@ pub(crate) fn write_counters(out: &mut String, fields: &[CounterField], values: 
         };
     }
 }
+
+/// The `_bucket`/`_sum`/`_count` series of one histogram labelled
+/// `label`; `unit` renders bucket bounds and the sum in the exposed unit.
+fn histogram<U: Display>(
+    out: &mut String,
+    name: &str,
+    label: &str,
+    hist: &LogHistogram,
+    unit: impl Fn(u64) -> U,
+) {
+    for (le, cum) in hist.cumulative_buckets() {
+        let _ = writeln!(out, "{name}_bucket{{{label},le=\"{}\"}} {cum}", unit(le));
+    }
+    let _ = writeln!(out, "{name}_bucket{{{label},le=\"+Inf\"}} {}", hist.count());
+    let _ = writeln!(out, "{name}_sum{{{label}}} {}", unit(hist.sum()));
+    let _ = writeln!(out, "{name}_count{{{label}}} {}", hist.count());
+}
+
+/// One per-resource family: name, help, kind, and the sample's value.
+type ResourceFamily = (&'static str, &'static str, &'static str, fn(&ResourceSnapshot) -> String);
 
 fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
     family(out, name, help, "gauge");
@@ -92,31 +112,13 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
             "histogram",
         );
         for p in &snapshot.phases {
-            for (le_ns, cum) in p.hist.cumulative_buckets() {
-                let _ = writeln!(
-                    out,
-                    "evolve_serve_phase_seconds_bucket{{phase=\"{}\",le=\"{}\"}} {cum}",
-                    p.phase,
-                    le_ns as f64 / 1e9
-                );
-            }
-            let _ = writeln!(
-                out,
-                "evolve_serve_phase_seconds_bucket{{phase=\"{}\",le=\"+Inf\"}} {}",
-                p.phase,
-                p.hist.count()
-            );
-            let _ = writeln!(
-                out,
-                "evolve_serve_phase_seconds_sum{{phase=\"{}\"}} {}",
-                p.phase,
-                p.hist.sum() as f64 / 1e9
-            );
-            let _ = writeln!(
-                out,
-                "evolve_serve_phase_seconds_count{{phase=\"{}\"}} {}",
-                p.phase,
-                p.hist.count()
+            let label = format!("phase=\"{}\"", p.phase);
+            histogram(
+                &mut out,
+                "evolve_serve_phase_seconds",
+                &label,
+                &p.hist,
+                |ns| ns as f64 / 1e9,
             );
         }
     }
@@ -150,70 +152,43 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         }
     }
 
-    family(
-        &mut out,
-        "evolve_resource_busy_ticks_total",
-        "Observation-time busy ticks per resource",
-        "counter",
-    );
-    for r in &snapshot.resources {
-        let _ = writeln!(
-            out,
-            "evolve_resource_busy_ticks_total{{resource=\"{}\"}} {}",
-            r.resource, r.busy_ticks
-        );
-    }
-    family(
-        &mut out,
-        "evolve_resource_ops_total",
-        "Abstract operations executed per resource",
-        "counter",
-    );
-    for r in &snapshot.resources {
-        let _ = writeln!(
-            out,
-            "evolve_resource_ops_total{{resource=\"{}\"}} {}",
-            r.resource, r.ops
-        );
-    }
-    family(
-        &mut out,
-        "evolve_resource_records_total",
-        "Execution records observed per resource",
-        "counter",
-    );
-    for r in &snapshot.resources {
-        let _ = writeln!(
-            out,
-            "evolve_resource_records_total{{resource=\"{}\"}} {}",
-            r.resource, r.records
-        );
-    }
-    family(
-        &mut out,
-        "evolve_resource_out_of_order_total",
-        "Records clamped by the streaming frontier (busy time exact iff 0)",
-        "counter",
-    );
-    for r in &snapshot.resources {
-        let _ = writeln!(
-            out,
-            "evolve_resource_out_of_order_total{{resource=\"{}\"}} {}",
-            r.resource, r.out_of_order
-        );
-    }
-    family(
-        &mut out,
-        "evolve_resource_utilization",
-        "Busy ticks over observed horizon per resource",
-        "gauge",
-    );
-    for r in &snapshot.resources {
-        let _ = writeln!(
-            out,
-            "evolve_resource_utilization{{resource=\"{}\"}} {}",
-            r.resource, r.utilization
-        );
+    let per_resource: [ResourceFamily; 5] = [
+        (
+            "evolve_resource_busy_ticks_total",
+            "Observation-time busy ticks per resource",
+            "counter",
+            |r| r.busy_ticks.to_string(),
+        ),
+        (
+            "evolve_resource_ops_total",
+            "Abstract operations executed per resource",
+            "counter",
+            |r| r.ops.to_string(),
+        ),
+        (
+            "evolve_resource_records_total",
+            "Execution records observed per resource",
+            "counter",
+            |r| r.records.to_string(),
+        ),
+        (
+            "evolve_resource_out_of_order_total",
+            "Records clamped by the streaming frontier (busy time exact iff 0)",
+            "counter",
+            |r| r.out_of_order.to_string(),
+        ),
+        (
+            "evolve_resource_utilization",
+            "Busy ticks over observed horizon per resource",
+            "gauge",
+            |r| r.utilization.to_string(),
+        ),
+    ];
+    for (name, help, kind, value) in per_resource {
+        family(&mut out, name, help, kind);
+        for r in &snapshot.resources {
+            let _ = writeln!(out, "{name}{{resource=\"{}\"}} {}", r.resource, value(r));
+        }
     }
     family(
         &mut out,
@@ -222,30 +197,13 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         "histogram",
     );
     for r in &snapshot.resources {
-        for (le, cum) in r.durations.cumulative_buckets() {
-            let _ = writeln!(
-                out,
-                "evolve_resource_exec_duration_ticks_bucket{{resource=\"{}\",le=\"{le}\"}} {cum}",
-                r.resource
-            );
-        }
-        let _ = writeln!(
-            out,
-            "evolve_resource_exec_duration_ticks_bucket{{resource=\"{}\",le=\"+Inf\"}} {}",
-            r.resource,
-            r.durations.count()
-        );
-        let _ = writeln!(
-            out,
-            "evolve_resource_exec_duration_ticks_sum{{resource=\"{}\"}} {}",
-            r.resource,
-            r.durations.sum()
-        );
-        let _ = writeln!(
-            out,
-            "evolve_resource_exec_duration_ticks_count{{resource=\"{}\"}} {}",
-            r.resource,
-            r.durations.count()
+        let label = format!("resource=\"{}\"", r.resource);
+        histogram(
+            &mut out,
+            "evolve_resource_exec_duration_ticks",
+            &label,
+            &r.durations,
+            |t| t,
         );
     }
 
@@ -254,14 +212,68 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
 
 #[cfg(test)]
 mod tests {
+    use evolve_des::Time;
+    use evolve_model::{ExecRecord, FunctionId, ResourceId};
+
     use crate::metrics::TelemetrySink;
+    use crate::Observer as _;
 
     use super::*;
+
+    #[test]
+    fn prometheus_exposition_shape() {
+        let mut sink = TelemetrySink::new();
+        sink.on_records(
+            0,
+            &[ExecRecord {
+                resource: ResourceId::from_index(2),
+                function: FunctionId::from_index(0),
+                stmt: 0,
+                k: 0,
+                start: Time::from_ticks(0),
+                end: Time::from_ticks(10),
+                ops: 100,
+            }],
+        );
+        sink.on_event(crate::EngineEvent::Offer {
+            k: 0,
+            lane: 0,
+            replayed: false,
+        });
+        sink.record_serve(crate::ServeCounters {
+            requests: 5,
+            rejected: 2,
+            batches_full: 1,
+            lanes_batched: 4,
+            ..crate::ServeCounters::default()
+        });
+        let text = prometheus(&sink.snapshot());
+        assert!(text.contains("# TYPE evolve_engine_nodes_computed_total counter"));
+        assert!(text.contains("evolve_serve_requests_total 5"));
+        assert!(text.contains("evolve_serve_rejected_total 2"));
+        assert!(text.contains("evolve_serve_batches_total{trigger=\"full\"} 1"));
+        assert!(text.contains("evolve_serve_lanes_total{path=\"batched\"} 4"));
+        assert!(text.contains("evolve_resource_busy_ticks_total{resource=\"2\"} 10"));
+        assert!(text.contains("evolve_events_total{kind=\"offer\"} 1"));
+        assert!(text.contains("evolve_resource_exec_duration_ticks_bucket{resource=\"2\",le=\"16\"} 1"));
+        assert!(text.contains("evolve_resource_exec_duration_ticks_bucket{resource=\"2\",le=\"+Inf\"} 1"));
+        assert!(text.ends_with('\n'));
+    }
 
     #[test]
     fn empty_snapshot_renders_nan_ratio() {
         let text = prometheus(&TelemetrySink::new().snapshot());
         assert!(text.contains("evolve_event_ratio NaN"));
+    }
+
+    #[test]
+    fn build_info_always_present() {
+        let text = prometheus(&TelemetrySink::new().snapshot());
+        assert!(text.contains("# TYPE evolve_build_info gauge"));
+        assert!(text.contains(&format!(
+            "evolve_build_info{{version=\"{}\",profile=\"",
+            env!("CARGO_PKG_VERSION")
+        )));
     }
 
     #[test]

@@ -1108,6 +1108,15 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_json_renders() {
+        let mut sink = TelemetrySink::new();
+        sink.on_records(0, &[rec(0, 0, 10, 100)]);
+        let doc = sink.snapshot().to_json().render();
+        assert!(doc.contains("\"busy_ticks\":10"));
+        assert!(doc.contains("\"event_ratio\":null"));
+    }
+
+    #[test]
     fn period_fold_matches_brute_force_small() {
         // One period: busy [0,10) ∪ [15,20), growth 8 → copies overlap.
         let records = [rec(0, 0, 10, 100), rec(0, 15, 20, 50)];

@@ -267,36 +267,27 @@ impl Worker {
     fn dispatch_batched(&mut self, spec: &ModelSpec, jobs: Vec<Job>) {
         let n = jobs.len();
         let options = self.options;
-        let supported = self
-            .caches
-            .batch
-            .entry(spec.clone())
-            .or_insert_with(|| prepare_batch(spec, &options, n).map(|p| vec![p]))
-            .is_ok();
-        if !supported {
-            if let Some(sink) = self.sink.as_deref_mut() {
-                sink.record_batch(BatchCounters {
-                    eject_unsupported: n as u64,
-                    ..BatchCounters::default()
-                });
-            }
-            for job in jobs {
-                self.eval_scalar(spec, job, n as u32);
-            }
-            return;
-        }
-        let mut prepared = {
-            let pool = self
-                .caches
-                .batch
-                .get_mut(spec)
-                .and_then(|r| r.as_mut().ok())
-                .expect("pool just inserted as supported");
-            pool.pop()
+        // The engine leaves the cache for the drive, so the shard can
+        // borrow itself while responding; it goes back under the same key.
+        let (key, cached) = match self.caches.batch.remove_entry(spec) {
+            Some(entry) => entry,
+            None => (spec.clone(), prepare_batch(spec, &options, n)),
         };
-        let mut prepared = match prepared.take() {
-            Some(p) => p,
-            None => prepare_batch(spec, &options, n).expect("spec known batch-supported"),
+        let mut prepared = match cached {
+            Ok(prepared) => prepared,
+            Err(unsupported) => {
+                self.caches.batch.insert(key, Err(unsupported));
+                if let Some(sink) = self.sink.as_deref_mut() {
+                    sink.record_batch(BatchCounters {
+                        eject_unsupported: n as u64,
+                        ..BatchCounters::default()
+                    });
+                }
+                for job in jobs {
+                    self.eval_scalar(spec, job, n as u32);
+                }
+                return;
+            }
         };
         let before_iters = prepared.engine.stats().batched_iterations;
         let before_kernel = prepared.engine.kernel_dispatch();
@@ -341,9 +332,7 @@ impl Worker {
             let resp = eval_ok(job.id, &outcome, ff, None, true, n as u32);
             self.respond(&job.writer, &Response::EvalOk(resp), job.corr);
         }
-        if let Some(Ok(pool)) = self.caches.batch.get_mut(spec) {
-            pool.push(prepared);
-        }
+        self.caches.batch.insert(key, Ok(prepared));
     }
 
     fn eval_scalar(&mut self, spec: &ModelSpec, job: Job, lanes_in_batch: u32) {
