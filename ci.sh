@@ -9,7 +9,7 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release --offline
 cargo test -q --workspace --offline
-cargo clippy --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Batched-lane conformance: the lockstep engine must stay bitwise
 # identical to the scalar backends across widths, lane mixes, and the

@@ -71,8 +71,8 @@ fn backend_section(targets: &[usize], budget: u64, reps: usize) -> Vec<BackendPo
 fn batch_section(targets: &[usize], widths: &[usize], budget: u64, reps: usize) -> Vec<BatchPoint> {
     println!("== batched lanes: per-lane iteration cost vs batch width ==");
     println!(
-        "{:>7} {:>6} {:>12} {:>15} {:>7}",
-        "nodes", "width", "iterations", "ns/lane-iter", "gain"
+        "{:>7} {:>6} {:>12} {:>15} {:>7} {:>15}",
+        "nodes", "width", "iterations", "ns/lane-iter", "gain", "scalar ns/iter"
     );
     let points = batch_grid(targets, widths, budget, reps);
     for p in &points {
@@ -81,12 +81,13 @@ fn batch_section(targets: &[usize], widths: &[usize], budget: u64, reps: usize) 
             .find(|b| b.nodes == p.nodes && b.width == 1)
             .map_or(p.ns_per_lane_iter, |b| b.ns_per_lane_iter);
         println!(
-            "{:>7} {:>6} {:>12} {:>15.1} {:>7.2}",
+            "{:>7} {:>6} {:>12} {:>15.1} {:>7.2} {:>15.1}",
             p.nodes,
             p.width,
             p.iterations,
             p.ns_per_lane_iter,
             baseline / p.ns_per_lane_iter.max(1e-12),
+            p.scalar_ns_per_iter,
         );
     }
     points

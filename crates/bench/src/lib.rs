@@ -594,6 +594,9 @@ pub struct BatchPoint {
     /// Best-of-reps cost per lane-iteration (ns): wall time over
     /// `iterations × width`.
     pub ns_per_lane_iter: f64,
+    /// Best-of-reps cost per iteration (ns) of the scalar compiled engine
+    /// on the same graph and lane-0 trace, timed in the same repetitions.
+    pub scalar_ns_per_iter: f64,
 }
 
 /// Measures per-lane iteration cost of the batched engine at each target
@@ -605,7 +608,9 @@ pub struct BatchPoint {
 /// lane's trace alone — the conformance check is built into the
 /// measurement. The iteration count per point depends only on the node
 /// budget, not the width, so `ns_per_lane_iter` across widths compares
-/// equal work per lane.
+/// equal work per lane. Each repetition also times the scalar compiled
+/// engine on lane 0's trace, so `scalar_ns_per_iter` and
+/// `ns_per_lane_iter` compare one graph in one run.
 ///
 /// # Panics
 ///
@@ -628,23 +633,33 @@ pub fn batch_grid(
         let relations = p.arch.app().relations().len();
         let iterations = (budget / nodes.max(1) as u64).clamp(500, 200_000);
 
-        // Scalar reference checksums, one per distinct lane size.
+        // Scalar reference checksums, one per distinct lane size; the
+        // lane-0 engine is kept and timed beside every width.
         let mut reference = [0u64; 5];
+        let mut scalar =
+            Engine::with_backend(derived.clone(), relations, false, EvalBackend::Compiled);
         for (slot, checksum) in reference.iter_mut().enumerate() {
-            let mut engine =
-                Engine::with_backend(derived.clone(), relations, false, EvalBackend::Compiled);
-            *checksum = drive_iterations_sized(&mut engine, iterations, lane_size(slot)).1;
+            scalar.reset();
+            *checksum = drive_iterations_sized(&mut scalar, iterations, lane_size(slot)).1;
         }
 
         for &width in widths {
             assert!(width > 0, "batch width must be at least one lane");
             let mut engine = BatchedEngine::try_new(derived.clone(), relations, false, width)
                 .expect("padded pipelines are batchable");
-            let mut best = f64::INFINITY;
+            let (mut best, mut best_scalar) = (f64::INFINITY, f64::INFINITY);
             for rep in 0..reps {
                 if rep > 0 {
                     engine.reset(width);
                 }
+                scalar.reset();
+                let (wall, checksum) =
+                    drive_iterations_sized(&mut scalar, iterations, lane_size(0));
+                assert_eq!(
+                    checksum, reference[0],
+                    "scalar engine diverged at {nodes} nodes"
+                );
+                best_scalar = best_scalar.min(wall.as_secs_f64() * 1e9 / iterations as f64);
                 let mut checksums = vec![0u64; width];
                 let mut offers: Vec<Option<(Time, u64)>> = vec![None; width];
                 let start = Instant::now();
@@ -675,6 +690,7 @@ pub fn batch_grid(
                 width,
                 iterations,
                 ns_per_lane_iter: best,
+                scalar_ns_per_iter: best_scalar,
             });
         }
     }
@@ -726,6 +742,7 @@ pub fn backend_report_json(
                             ("width", Json::U64(p.width as u64)),
                             ("iterations", Json::U64(p.iterations)),
                             ("ns_per_lane_iter", Json::F64(p.ns_per_lane_iter)),
+                            ("scalar_ns_per_iter", Json::F64(p.scalar_ns_per_iter)),
                         ])
                     })
                     .collect(),
@@ -884,6 +901,8 @@ mod tests {
         let rendered = backend_report_json(&[], &points, &[], &[]).render();
         assert!(rendered.contains("\"batch_points\""));
         assert!(rendered.contains("\"ns_per_lane_iter\""));
+        assert!(rendered.contains("\"scalar_ns_per_iter\""));
+        assert!(points.iter().all(|p| p.scalar_ns_per_iter > 0.0));
         assert!(rendered.contains("\"width\":4"));
     }
 

@@ -73,18 +73,19 @@ use std::collections::VecDeque;
 
 use evolve_des::Time;
 use evolve_maxplus::MaxPlus;
-use evolve_model::{ExecRecord, LoadContext};
+use evolve_model::ExecRecord;
 
-use crate::compile::{lower_node_meta, zero_delay_dependent, CompiledTdg, Obs, SweepSegment};
+use crate::compile::{lower_node_meta, zero_delay_dependent, CompiledTdg, Obs, Slot, SweepSegment};
 use crate::derive::{DerivedTdg, SizeRule};
 use crate::engine::{AllocationFootprint, EngineStats};
 use crate::error::EngineError;
 use crate::kernel;
+use crate::lane::{eval_weight, LaneLog, LaneState};
 use crate::periodic::{
-    self, CallEmissions, CallObservation, ExecEmission, FastForward, FastForwardStats, Observed,
-    OutputEmission, PeriodicConfig, PeriodicState, ReplayPlan, TailObservation,
+    self, CallObservation, FastForward, FastForwardStats, PeriodicConfig, PeriodicState,
+    ReplayPlan, TailObservation,
 };
-use crate::tdg::{NodeKind, Tdg, Weight};
+use crate::tdg::{NodeKind, Tdg};
 
 /// Upper bound on recycled [`LaneBlock`]s retained by the free list.
 const FREE_LIST_CAP: usize = 16;
@@ -175,174 +176,39 @@ fn block_at(ring: &VecDeque<LaneBlock>, base_k: u64, k: u64) -> Option<&LaneBloc
     ring.get((k - base_k) as usize)
 }
 
-/// Snapshot of observable-state lengths across all lanes, taken before a
-/// lockstep call while some lane's detector is confirming, so the call's
-/// per-lane emissions can be diffed out afterwards.
-#[derive(Default)]
-struct BatchMarks {
-    /// `lane * relations + relation` exchange-log lengths.
-    instants: Vec<usize>,
-    /// `lane * relations + relation` read-log lengths.
-    reads: Vec<usize>,
-    /// `lane * n_outputs + output` ready-queue lengths.
-    outputs: Vec<usize>,
-    /// Execution-record counts per lane.
-    execs: Vec<usize>,
-    /// Acknowledgment state per lane.
-    acks: Vec<Option<(u64, Time)>>,
-}
-
-/// Lane-strided counterpart of the scalar engine's weight evaluation: total
-/// lag in ticks plus the raw operation count, with token sizes read at
-/// `sizes[rel * B + lane]`.
-#[inline]
-fn eval_weight_lane(
-    weight: &Weight,
-    k: u64,
-    ring: &VecDeque<LaneBlock>,
+/// One lane of the tail block around iteration `k`, with history in the
+/// ring: sizes at `sizes[rel * b + lane]`, stashes at
+/// `stash[dense * b + lane]`.
+struct LaneView<'a> {
+    sizes: &'a mut [u64],
+    stash: &'a [(MaxPlus, u64)],
+    ring: &'a VecDeque<LaneBlock>,
     base_k: u64,
+    k: u64,
     b: usize,
     lane: usize,
-    tail_sizes: &[u64],
-) -> (u64, u64) {
-    let mut lag = weight.constant;
-    let mut ops_total = 0u64;
-    for term in &weight.execs {
-        let size = match term.size_from {
-            None => 0,
-            Some((rel, delay)) => {
-                if u64::from(delay) > k {
-                    0
-                } else if delay == 0 {
-                    tail_sizes[rel.index() * b + lane]
-                } else {
-                    block_at(ring, base_k, k - u64::from(delay))
-                        .map_or(0, |blk| blk.sizes[rel.index() * b + lane])
-                }
-            }
-        };
-        let ops = term.load.ops(LoadContext {
-            function: term.function.index(),
-            stmt: term.stmt,
-            k,
-            size,
-        });
-        ops_total += ops;
-        lag += evolve_model::duration_for(ops, term.speed).ticks();
-    }
-    (lag, ops_total)
 }
 
-/// Per-lane observation targets, borrowed disjointly out of the engine for
-/// the duration of a sweep (the lane blocks move through `tail`/`ring`
-/// separately).
-struct ObsSink<'a> {
-    size_rules: &'a [SizeRule],
-    record: bool,
-    b: usize,
-    relations: usize,
-    n_outputs: usize,
-    instant_log: &'a mut [Vec<Time>],
-    read_log: &'a mut [Vec<Time>],
-    acks: &'a mut [Option<(u64, Time)>],
-    outputs_ready: &'a mut [VecDeque<(u64, Time, u64)>],
-    exec_records: &'a mut [Vec<ExecRecord>],
-}
-
-impl ObsSink<'_> {
-    /// Mirror of the scalar engine's `observe_at` for one lane of the
-    /// (out-of-ring) tail block. The tail is passed as its disjoint size
-    /// and exec-stash slices (never the accumulator), so the caller can
-    /// keep split borrows of the accumulator rows alive across the call.
-    #[allow(clippy::too_many_arguments)]
-    fn observe_lane(
-        &mut self,
-        k: u64,
-        obs: Obs,
-        value: MaxPlus,
-        lane: usize,
-        tail_sizes: &mut [u64],
-        tail_stash: &[(MaxPlus, u64)],
-        ring: &VecDeque<LaneBlock>,
-        base_k: u64,
-    ) {
-        let b = self.b;
-        match obs {
-            Obs::None => {}
-            Obs::Exchange {
-                relation,
-                ack_input,
-                output,
-                has_fifo_read,
-            } => {
-                let relation = relation as usize;
-                let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                if let SizeRule::Derived { from, model } = self.size_rules[relation] {
-                    let input_size = match from {
-                        None => 0,
-                        Some((rel, delay)) => {
-                            if u64::from(delay) > k {
-                                0
-                            } else if delay == 0 {
-                                tail_sizes[rel.index() * b + lane]
-                            } else {
-                                block_at(ring, base_k, k - u64::from(delay))
-                                    .map_or(0, |blk| blk.sizes[rel.index() * b + lane])
-                            }
-                        }
-                    };
-                    tail_sizes[relation * b + lane] = model.apply(input_size);
-                }
-                if self.record {
-                    let log = &mut self.instant_log[lane * self.relations + relation];
-                    debug_assert_eq!(
-                        log.len() as u64,
-                        k,
-                        "exchange instants must compute in iteration order"
-                    );
-                    log.push(time);
-                    if !has_fifo_read {
-                        self.read_log[lane * self.relations + relation].push(time);
-                    }
-                }
-                if ack_input != u32::MAX {
-                    self.acks[lane] = Some((k, time));
-                }
-                if output != u32::MAX {
-                    let size = tail_sizes[relation * b + lane];
-                    self.outputs_ready[lane * self.n_outputs + output as usize]
-                        .push_back((k, time, size));
-                }
-            }
-            Obs::FifoRead { relation } => {
-                if self.record {
-                    let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                    self.read_log[lane * self.relations + relation as usize].push(time);
-                }
-            }
-            Obs::ExecEnd {
-                function,
-                stmt,
-                resource,
-                dense,
-            } => {
-                if self.record {
-                    let (start, ops) = tail_stash[dense as usize * b + lane];
-                    if start.is_finite() || ops > 0 {
-                        let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                        self.exec_records[lane].push(ExecRecord {
-                            resource,
-                            function,
-                            stmt: stmt as usize,
-                            k,
-                            start: Time::from_ticks(start.finite().unwrap_or(0).max(0) as u64),
-                            end: time,
-                            ops,
-                        });
-                    }
-                }
-            }
+impl LaneState for LaneView<'_> {
+    #[inline]
+    fn size(&self, rel: usize, delay: u32) -> u64 {
+        let at = rel * self.b + self.lane;
+        if delay == 0 {
+            self.sizes[at]
+        } else {
+            block_at(self.ring, self.base_k, self.k - u64::from(delay))
+                .map_or(0, |blk| blk.sizes[at])
         }
+    }
+
+    #[inline]
+    fn set_size(&mut self, rel: usize, size: u64) {
+        self.sizes[rel * self.b + self.lane] = size;
+    }
+
+    #[inline]
+    fn stash(&self, dense: usize) -> (MaxPlus, u64) {
+        self.stash[dense * self.b + self.lane]
     }
 }
 
@@ -352,7 +218,10 @@ impl ObsSink<'_> {
 /// over its const arcs — `dst = E ⊕ (src ⊗ lag)` for the first arc,
 /// `dst ⊕= src ⊗ lag` for the rest — through the chunked kernels. The
 /// rolling `split_at_mut` is sound because every const source sits at a
-/// strictly earlier schedule slot (`CompiledTdg::const_src_pos`).
+/// strictly earlier schedule slot (`CompiledTdg::const_src_pos`). Kept
+/// out of line: inlined into [`Sweep::run`] it ran ~10% slower on the
+/// padded Fig. 5 graphs.
+#[inline(never)]
 fn eval_fused_segment(ct: &CompiledTdg, seg: &SweepSegment, acc: &mut [MaxPlus], stride: usize) {
     let mut ci = ct.const_offsets[seg.start as usize] as usize;
     for slot in seg.start as usize..seg.end as usize {
@@ -370,92 +239,153 @@ fn eval_fused_segment(ct: &CompiledTdg, seg: &SweepSegment, acc: &mut [MaxPlus],
     }
 }
 
-/// Evaluates one general schedule slot across all lanes: full-width slow
-/// and const folds (structure shared by every lane) through the chunked
-/// kernels, per-lane exec-weight evaluation, observation for the lanes
-/// offered this call. The tail block arrives destructured so the rolling
-/// accumulator split can coexist with size/stash writes.
-#[allow(clippy::too_many_arguments)]
-fn eval_general_slot(
-    ct: &CompiledTdg,
-    ring: &VecDeque<LaneBlock>,
+/// What one lockstep sweep reads: the shared program, the lane history,
+/// the lanes offered this call and the observation rules.
+struct Sweep<'a> {
+    ct: &'a CompiledTdg,
+    ring: &'a VecDeque<LaneBlock>,
     base_k: u64,
     k: u64,
     b: usize,
     stride: usize,
-    slot: usize,
-    acc: &mut [MaxPlus],
-    tail_sizes: &mut [u64],
-    tail_stash: &mut [(MaxPlus, u64)],
-    current: &[bool],
+    current: &'a [bool],
+    size_rules: &'a [SizeRule],
     record: bool,
-    sink: &mut ObsSink<'_>,
-) {
-    let (c0, chi) = (ct.const_offsets[slot] as usize, ct.const_offsets[slot + 1] as usize);
-    let (s0, shi) = (ct.slow_offsets[slot] as usize, ct.slow_offsets[slot + 1] as usize);
-    let (e0, ehi) = (ct.exec_offsets[slot] as usize, ct.exec_offsets[slot + 1] as usize);
-    let obs = ct.obs[slot];
-    let (lo, rest) = acc.split_at_mut(slot * stride);
-    let dst = &mut rest[..stride];
-    dst.fill(MaxPlus::E); // process-start baseline
-    // Slow stream: delayed constant arcs (delay ≥ 1 by construction), read
-    // through the history ring, folded full-width — `ε ⊗ lag = ε` keeps the
-    // fold branch-free per lane.
-    for i in s0..shi {
-        let delay = u64::from(ct.slow_delays[i]);
-        let lag = ct.slow_lags[i];
-        let row = if delay > k {
-            None // pre-history resolves to the process-start baseline E
-        } else {
-            block_at(ring, base_k, k - delay).map(|blk| {
-                let src = ct.slow_src_pos[i] as usize;
-                &blk.acc[src * stride..(src + 1) * stride]
-            })
-        };
-        match row {
-            Some(row) => kernel::fold_max_otimes(dst, row, lag),
-            // E ⊗ lag = lag, uniformly across lanes.
-            None => kernel::fold_max_value(dst, lag),
+}
+
+impl Sweep<'_> {
+    /// Lane `lane` of the tail block being swept.
+    fn lane<'v>(
+        &'v self,
+        sizes: &'v mut [u64],
+        stash: &'v [(MaxPlus, u64)],
+        lane: usize,
+    ) -> LaneView<'v> {
+        LaneView {
+            sizes,
+            stash,
+            ring: self.ring,
+            base_k: self.base_k,
+            k: self.k,
+            b: self.b,
+            lane,
         }
     }
-    // Exec stream: data-dependent arcs, evaluated per offered lane against
-    // that lane's token sizes. Stash writes are last-wins in arc order,
-    // matching the scalar sweep.
-    for i in e0..ehi {
-        let delay = u64::from(ct.exec_delays[i]);
-        let src = ct.exec_src_pos[i] as usize;
-        let exec = &ct.exec_arcs[i];
-        for (l, &cur) in current.iter().enumerate() {
-            if !cur {
-                continue;
-            }
-            let src_val = if delay == 0 {
-                lo[src * stride + l]
-            } else if delay > k {
-                MaxPlus::E
+
+    /// Evaluates the planned `segments` of iteration `k` into `blk`,
+    /// observing the offered lanes into `logs`.
+    fn run(&self, segments: &[SweepSegment], blk: &mut LaneBlock, logs: &mut [LaneLog]) {
+        let LaneBlock {
+            acc,
+            sizes,
+            exec_stash,
+        } = blk;
+        for seg in segments {
+            if seg.fused {
+                eval_fused_segment(self.ct, seg, acc, self.stride);
             } else {
-                block_at(ring, base_k, k - delay).map_or(MaxPlus::E, |blk| blk.acc[src * stride + l])
-            };
-            if src_val.is_epsilon() {
-                continue;
+                for slot in seg.start as usize..seg.end as usize {
+                    self.general_slot(slot, acc, sizes, exec_stash, logs);
+                }
             }
-            let (lag, ops) = eval_weight_lane(&exec.weight, k, ring, base_k, b, l, tail_sizes);
-            if record && exec.stash_dense != u32::MAX {
-                tail_stash[exec.stash_dense as usize * b + l] = (src_val, ops);
-            }
-            dst[l] = dst[l].oplus(src_val.otimes(MaxPlus::new(lag as i64)));
         }
     }
-    // Const stream: same-iteration constant arcs over earlier tail rows —
-    // the vectorizable common case.
-    for i in c0..chi {
-        let src = ct.const_src_pos[i] as usize;
-        kernel::fold_max_otimes(dst, &lo[src * stride..(src + 1) * stride], ct.const_lags[i]);
-    }
-    if !matches!(obs, Obs::None) {
-        for (l, &cur) in current.iter().enumerate() {
-            if cur {
-                sink.observe_lane(k, obs, dst[l], l, tail_sizes, tail_stash, ring, base_k);
+
+    /// Evaluates one general schedule slot across all lanes: full-width
+    /// slow and const folds (structure shared by every lane) through the
+    /// chunked kernels, per-lane exec-weight evaluation, observation for
+    /// the lanes offered this call. The tail block arrives destructured so
+    /// the rolling accumulator split can coexist with size/stash writes.
+    fn general_slot(
+        &self,
+        slot: usize,
+        acc: &mut [MaxPlus],
+        tail_sizes: &mut [u64],
+        tail_stash: &mut [(MaxPlus, u64)],
+        logs: &mut [LaneLog],
+    ) {
+        let Sweep {
+            ct,
+            ring,
+            base_k,
+            k,
+            b,
+            stride,
+            ..
+        } = *self;
+        let Slot {
+            obs,
+            consts,
+            slows,
+            execs,
+            ..
+        } = ct.slot(slot);
+        let (lo, rest) = acc.split_at_mut(slot * stride);
+        let dst = &mut rest[..stride];
+        // Process-start baseline, then the slow stream: delayed constant
+        // arcs (delay ≥ 1 by construction), read through the history ring,
+        // folded full-width — `ε ⊗ lag = ε` keeps the fold branch-free per
+        // lane.
+        dst.fill(MaxPlus::E);
+        for i in slows {
+            let delay = u64::from(ct.slow_delays[i]);
+            let lag = ct.slow_lags[i];
+            let row = if delay > k {
+                None // pre-history resolves to the process-start baseline E
+            } else {
+                block_at(ring, base_k, k - delay).map(|blk| {
+                    let src = ct.slow_src_pos[i] as usize;
+                    &blk.acc[src * stride..(src + 1) * stride]
+                })
+            };
+            match row {
+                Some(row) => kernel::fold_max_otimes(dst, row, lag),
+                // E ⊗ lag = lag, uniformly across lanes.
+                None => kernel::fold_max_value(dst, lag),
+            }
+        }
+        // Exec stream: data-dependent arcs, evaluated per offered lane
+        // against that lane's token sizes. Stash writes are last-wins in
+        // arc order, matching the scalar sweep.
+        for i in execs {
+            let delay = u64::from(ct.exec_delays[i]);
+            let src = ct.exec_src_pos[i] as usize;
+            let exec = &ct.exec_arcs[i];
+            for (lane, &cur) in self.current.iter().enumerate() {
+                if !cur {
+                    continue;
+                }
+                let src_val = if delay == 0 {
+                    lo[src * stride + lane]
+                } else if delay > k {
+                    MaxPlus::E
+                } else {
+                    block_at(ring, base_k, k - delay)
+                        .map_or(MaxPlus::E, |blk| blk.acc[src * stride + lane])
+                };
+                if src_val.is_epsilon() {
+                    continue;
+                }
+                let sizes = self.lane(tail_sizes, tail_stash, lane);
+                let (lag, ops) = eval_weight(&exec.weight, k, &sizes);
+                if self.record && exec.stash_dense != u32::MAX {
+                    tail_stash[exec.stash_dense as usize * b + lane] = (src_val, ops);
+                }
+                dst[lane] = dst[lane].oplus(src_val.otimes(MaxPlus::new(lag as i64)));
+            }
+        }
+        // Const stream: same-iteration constant arcs over earlier tail rows
+        // — the vectorizable common case.
+        for i in consts {
+            let src = ct.const_src_pos[i] as usize;
+            kernel::fold_max_otimes(dst, &lo[src * stride..(src + 1) * stride], ct.const_lags[i]);
+        }
+        if !matches!(obs, Obs::None) {
+            for (lane, &cur) in self.current.iter().enumerate() {
+                if cur {
+                    let mut view = self.lane(tail_sizes, tail_stash, lane);
+                    logs[lane].observe(k, obs, dst[lane], self.size_rules, &mut view, |_| {});
+                }
             }
         }
     }
@@ -541,7 +471,6 @@ pub struct BatchedEngine {
     compiled: CompiledTdg,
     n_execs: usize,
     input_relation: usize,
-    n_outputs: usize,
     record_observations: bool,
     /// Lane count `B`.
     lanes: usize,
@@ -582,16 +511,9 @@ pub struct BatchedEngine {
     /// Lanes still offering (monotone: once `false`, never `true` again).
     active: Vec<bool>,
     lane_stats: Vec<EngineStats>,
-    /// Most recent acknowledgment instant per lane: `(k, instant)`.
-    acks: Vec<Option<(u64, Time)>>,
-    /// Computed outputs, `lane * n_outputs + output`.
-    outputs_ready: Vec<VecDeque<(u64, Time, u64)>>,
-    /// Exchange-instant log, `lane * relations + relation`.
-    instant_log: Vec<Vec<Time>>,
-    /// Read-instant log, `lane * relations + relation`.
-    read_log: Vec<Vec<Time>>,
-    /// Execution records per lane.
-    exec_records: Vec<Vec<ExecRecord>>,
+    /// Acknowledgments, outputs, instant logs and execution records per
+    /// lane.
+    logs: Vec<LaneLog>,
     stats: EngineStats,
     // -- periodic fast-forward (see crate::periodic) -----------------------
     fast_forward: FastForward,
@@ -611,7 +533,6 @@ pub struct BatchedEngine {
     prefix_nodes: Vec<bool>,
     /// Structural mask: relations whose derived size the prefix writes.
     prefix_sizes: Vec<bool>,
-    ff_marks: BatchMarks,
     /// Per-lane replay plans of the current lockstep call.
     ff_plans: Vec<Option<ReplayPlan>>,
     /// Per-lane gather buffers: de-strided views handed to the detector.
@@ -677,20 +598,7 @@ impl BatchedEngine {
             {
                 return Err(BatchUnsupported::OutputAcks);
             }
-            let max_delay = u64::from(tdg.max_delay());
-            let too_deep = tdg.arcs().iter().any(|arc| {
-                arc.weight
-                    .execs
-                    .iter()
-                    .any(|t| matches!(t.size_from, Some((_, d)) if u64::from(d) > max_delay))
-            });
-            let rule_too_deep = derived.size_rules().iter().any(|rule| {
-                matches!(
-                    rule,
-                    SizeRule::Derived { from: Some((_, d)), .. } if u64::from(*d) > max_delay
-                )
-            });
-            if too_deep || rule_too_deep {
+            if !derived.size_reads_within_horizon() {
                 return Err(BatchUnsupported::LongSizeDelay);
             }
         }
@@ -738,19 +646,7 @@ impl BatchedEngine {
         // a single driven input, no acknowledgment feedback, and size reads
         // within the history horizon; the remaining condition is that every
         // load is eventually periodic in `k`.
-        let mut ff_load_periods: Option<Vec<u64>> = Some(Vec::new());
-        for arc in tdg.arcs() {
-            for term in &arc.weight.execs {
-                match (term.load.k_period(), ff_load_periods.as_mut()) {
-                    (Some(q), Some(periods)) => {
-                        if !periods.contains(&q) {
-                            periods.push(q);
-                        }
-                    }
-                    _ => ff_load_periods = None,
-                }
-            }
-        }
+        let ff_load_periods = periodic::load_periods(&tdg);
         let ff_eligible = ff_load_periods.is_some();
 
         // Analytic per-lane statistics deltas, mirroring exactly what the
@@ -807,7 +703,6 @@ impl BatchedEngine {
             compiled,
             n_execs,
             input_relation,
-            n_outputs,
             record_observations,
             lanes,
             stride,
@@ -829,11 +724,9 @@ impl BatchedEngine {
             current: vec![false; lanes],
             active: vec![false; lanes],
             lane_stats: vec![EngineStats::default(); lanes],
-            acks: vec![None; lanes],
-            outputs_ready: vec![VecDeque::new(); lanes * n_outputs],
-            instant_log: vec![Vec::new(); lanes * relation_count],
-            read_log: vec![Vec::new(); lanes * relation_count],
-            exec_records: vec![Vec::new(); lanes],
+            logs: (0..lanes)
+                .map(|_| LaneLog::new(record_observations, relation_count, 1, n_outputs))
+                .collect(),
             stats: EngineStats::default(),
             fast_forward: FastForward::Off,
             ff_cfg: PeriodicConfig::default(),
@@ -843,7 +736,6 @@ impl BatchedEngine {
             ff_engaged: false,
             prefix_nodes,
             prefix_sizes,
-            ff_marks: BatchMarks::default(),
             ff_plans: Vec::new(),
             ff_obs_acc: Vec::new(),
             ff_obs_sizes: Vec::new(),
@@ -993,31 +885,28 @@ impl BatchedEngine {
     /// The computed acknowledgment instant of lane `lane`'s `k`-th offer,
     /// if known.
     pub fn ack_instant(&self, lane: usize, k: u64) -> Option<Time> {
-        match self.acks[lane] {
-            Some((stored_k, t)) if stored_k == k => Some(t),
-            _ => None,
-        }
+        self.logs[lane].ack_instant(0, k)
     }
 
     /// Pops the next computed output of `output` on lane `lane`, if any:
     /// `(iteration, emission instant, token size)`.
     pub fn next_output(&mut self, lane: usize, output: usize) -> Option<(u64, Time, u64)> {
-        self.outputs_ready[lane * self.n_outputs + output].pop_front()
+        self.logs[lane].outputs[output].pop_front()
     }
 
     /// Exchange-instant log of a relation on one lane.
     pub fn instants(&self, lane: usize, relation: usize) -> &[Time] {
-        &self.instant_log[lane * self.relation_count + relation]
+        &self.logs[lane].instants[relation]
     }
 
     /// Read-instant log of a relation on one lane.
     pub fn read_instants(&self, lane: usize, relation: usize) -> &[Time] {
-        &self.read_log[lane * self.relation_count + relation]
+        &self.logs[lane].reads[relation]
     }
 
     /// Execution records of one lane, replayed from computed instants.
     pub fn exec_records(&self, lane: usize) -> &[ExecRecord] {
-        &self.exec_records[lane]
+        &self.logs[lane].records
     }
 
     /// Rewinds the engine for a fresh batch of `lanes` scenarios, keeping
@@ -1027,11 +916,7 @@ impl BatchedEngine {
     pub fn reset(&mut self, lanes: usize) {
         assert!(lanes > 0, "a batch needs at least one lane");
         if lanes == self.lanes {
-            while let Some(blk) = self.ring.pop_front() {
-                if self.free.len() < FREE_LIST_CAP {
-                    self.free.push(blk);
-                }
-            }
+            self.release_ring();
         } else {
             self.ring.clear();
             self.free.clear();
@@ -1049,11 +934,10 @@ impl BatchedEngine {
             self.current = vec![false; lanes];
             self.active = vec![false; lanes];
             self.lane_stats = vec![EngineStats::default(); lanes];
-            self.acks = vec![None; lanes];
-            self.outputs_ready = vec![VecDeque::new(); lanes * self.n_outputs];
-            self.instant_log = vec![Vec::new(); lanes * self.relation_count];
-            self.read_log = vec![Vec::new(); lanes * self.relation_count];
-            self.exec_records = vec![Vec::new(); lanes];
+            let (record, relations) = (self.record_observations, self.relation_count);
+            let outputs = self.tdg.outputs().len();
+            self.logs
+                .resize_with(lanes, || LaneLog::new(record, relations, 1, outputs));
         }
         self.base_k = 0;
         self.next_k = 0;
@@ -1061,19 +945,7 @@ impl BatchedEngine {
         self.current.fill(false);
         self.active.fill(false);
         self.lane_stats.fill(EngineStats::default());
-        self.acks.fill(None);
-        for queue in &mut self.outputs_ready {
-            queue.clear();
-        }
-        for log in &mut self.instant_log {
-            log.clear();
-        }
-        for log in &mut self.read_log {
-            log.clear();
-        }
-        for records in &mut self.exec_records {
-            records.clear();
-        }
+        self.logs.iter_mut().for_each(LaneLog::clear);
         self.stats = EngineStats::default();
         self.kernel_dispatch = KernelDispatchStats::default();
         // Fast-forward: keep the knob and eligibility, restart detection.
@@ -1154,7 +1026,8 @@ impl BatchedEngine {
             return self.try_set_input_batch_impl(k, offers);
         };
         self.obs_rec_marks.clear();
-        self.obs_rec_marks.extend(self.exec_records.iter().map(Vec::len));
+        self.obs_rec_marks
+            .extend(self.logs.iter().map(|log| log.records.len()));
         let ff_before: Vec<FastForwardStats> = (0..self.ff_lanes.len())
             .map(|l| self.lane_fast_forward_stats(l))
             .collect();
@@ -1171,21 +1044,10 @@ impl BatchedEngine {
                 });
                 for (l, before) in ff_before.iter().enumerate() {
                     let after = self.lane_fast_forward_stats(l);
-                    if after.promotions > before.promotions {
-                        let d = after.detected.expect("promotion implies a regime");
-                        ob.on_event(evolve_obs::EngineEvent::FfPromoted {
-                            k,
-                            lane: l as u32,
-                            growth: d.growth,
-                            period: d.period,
-                        });
-                    }
-                    if after.demotions > before.demotions {
-                        ob.on_event(evolve_obs::EngineEvent::FfDemoted { k, lane: l as u32 });
-                    }
+                    after.report_since(before, ob.as_mut(), k, l as u32);
                 }
                 for (l, mark) in self.obs_rec_marks.iter().enumerate() {
-                    let records = &self.exec_records[l];
+                    let records = &self.logs[l].records;
                     if records.len() > *mark {
                         ob.on_records(l as u32, &records[*mark..]);
                     }
@@ -1251,7 +1113,7 @@ impl BatchedEngine {
                 .enumerate()
                 .any(|(l, o)| o.is_some() && self.ff_lanes[l].wants_capture());
         if capture {
-            self.ff_mark();
+            self.logs.iter_mut().for_each(LaneLog::mark);
         }
 
         // Acquire iteration `k`'s block: the look-ahead block at the ring
@@ -1275,51 +1137,13 @@ impl BatchedEngine {
         // only the injected input slot; once a look-ahead has run, the
         // steady plan also skips the prefix slots it already computed (a
         // structural property, identical for all lanes).
-        {
-            let ct = &self.compiled;
-            let ring = &self.ring;
-            let mut sink = ObsSink {
-                size_rules: &self.size_rules,
-                record: self.record_observations,
-                b,
-                relations: self.relation_count,
-                n_outputs: self.n_outputs,
-                instant_log: &mut self.instant_log,
-                read_log: &mut self.read_log,
-                acks: &mut self.acks,
-                outputs_ready: &mut self.outputs_ready,
-                exec_records: &mut self.exec_records,
-            };
-            let segments = if self.lookahead_ran {
-                &self.segments_steady
-            } else {
-                &self.segments_first
-            };
-            let LaneBlock { acc, sizes, exec_stash } = &mut tail;
-            for seg in segments {
-                if seg.fused {
-                    eval_fused_segment(ct, seg, acc, stride);
-                } else {
-                    for slot in seg.start as usize..seg.end as usize {
-                        eval_general_slot(
-                            ct,
-                            ring,
-                            self.base_k,
-                            k,
-                            b,
-                            stride,
-                            slot,
-                            acc,
-                            sizes,
-                            exec_stash,
-                            &self.current,
-                            self.record_observations,
-                            &mut sink,
-                        );
-                    }
-                }
-            }
-        }
+        let mut logs = std::mem::take(&mut self.logs);
+        let segments = if self.lookahead_ran {
+            &self.segments_steady
+        } else {
+            &self.segments_first
+        };
+        self.sweep_at(k).run(segments, &mut tail, &mut logs);
         self.ring.push_back(tail);
 
         // Look-ahead: open iteration `k + 1` and compute its
@@ -1327,51 +1151,13 @@ impl BatchedEngine {
         // conventional model's) eager run-ahead; the prefix's execution
         // records must appear even when a lane's trace ends here.
         if self.has_prefix {
-            let kla = k + 1;
             let mut la = self.take_block();
-            {
-                let ct = &self.compiled;
-                let ring = &self.ring;
-                let mut sink = ObsSink {
-                    size_rules: &self.size_rules,
-                    record: self.record_observations,
-                    b,
-                    relations: self.relation_count,
-                    n_outputs: self.n_outputs,
-                    instant_log: &mut self.instant_log,
-                    read_log: &mut self.read_log,
-                    acks: &mut self.acks,
-                    outputs_ready: &mut self.outputs_ready,
-                    exec_records: &mut self.exec_records,
-                };
-                let LaneBlock { acc, sizes, exec_stash } = &mut la;
-                for seg in &self.segments_prefix {
-                    if seg.fused {
-                        eval_fused_segment(ct, seg, acc, stride);
-                    } else {
-                        for slot in seg.start as usize..seg.end as usize {
-                            eval_general_slot(
-                                ct,
-                                ring,
-                                self.base_k,
-                                kla,
-                                b,
-                                stride,
-                                slot,
-                                acc,
-                                sizes,
-                                exec_stash,
-                                &self.current,
-                                self.record_observations,
-                                &mut sink,
-                            );
-                        }
-                    }
-                }
-            }
+            self.sweep_at(k + 1)
+                .run(&self.segments_prefix, &mut la, &mut logs);
             self.ring.push_back(la);
             self.lookahead_ran = true;
         }
+        self.logs = logs;
 
         // Statistics: every offered lane performed the same structural
         // work; the delta is analytic (see `try_new`).
@@ -1413,6 +1199,32 @@ impl BatchedEngine {
             }
         }
         Ok(())
+    }
+
+    /// The shared inputs of a lockstep sweep of iteration `k`.
+    fn sweep_at(&self, k: u64) -> Sweep<'_> {
+        Sweep {
+            ct: &self.compiled,
+            ring: &self.ring,
+            base_k: self.base_k,
+            k,
+            b: self.lanes,
+            stride: self.stride,
+            current: &self.current,
+            size_rules: &self.size_rules,
+            record: self.record_observations,
+        }
+    }
+
+    /// Moves every ring block to the free list, advancing `base_k` past
+    /// them.
+    fn release_ring(&mut self) {
+        while let Some(blk) = self.ring.pop_front() {
+            self.base_k += 1;
+            if self.free.len() < FREE_LIST_CAP {
+                self.free.push(blk);
+            }
+        }
     }
 
     /// A recycled or fresh lane block; only the exec stash needs clearing
@@ -1547,12 +1359,7 @@ impl BatchedEngine {
         // Engage: no sweep runs until a demotion reconstructs the ring.
         if !self.ff_engaged {
             self.ff_engaged = true;
-            while let Some(blk) = self.ring.pop_front() {
-                self.base_k += 1;
-                if self.free.len() < FREE_LIST_CAP {
-                    self.free.push(blk);
-                }
-            }
+            self.release_ring();
         }
         // Pass 2: apply per lane in capture order — infallible.
         let mut i = 0;
@@ -1564,49 +1371,13 @@ impl BatchedEngine {
                 continue;
             }
             let plan = plans[l].expect("all offers matched");
-            {
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                let r = &t.refs[plan.pos];
-                for e in &r.emissions.instants {
-                    self.instant_log[l * self.relation_count + e.0 as usize]
-                        .push(Time::from_ticks(scratch[i]));
-                    i += 1;
-                }
-                for e in &r.emissions.reads {
-                    self.read_log[l * self.relation_count + e.0 as usize]
-                        .push(Time::from_ticks(scratch[i]));
-                    i += 1;
-                }
-                for e in &r.emissions.execs {
-                    let (start, end) = (scratch[i], scratch[i + 1]);
-                    i += 2;
-                    self.exec_records[l].push(ExecRecord {
-                        resource: e.resource,
-                        function: e.function,
-                        stmt: e.stmt,
-                        k: k + e.k_off,
-                        start: Time::from_ticks(start),
-                        end: Time::from_ticks(end),
-                        ops: e.ops,
-                    });
-                }
-                for e in &r.emissions.outputs {
-                    let at = Time::from_ticks(scratch[i]);
-                    i += 1;
-                    self.outputs_ready[l * self.n_outputs + e.output as usize]
-                        .push_back((k + e.k_off, at, e.size));
-                }
-                if let Some((k_off, _)) = r.emissions.ack {
-                    self.acks[l] = Some((k + k_off, Time::from_ticks(scratch[i])));
-                    i += 1;
-                }
-                let s = &mut self.lane_stats[l];
+            let t = lanes_pd[l].template().expect("offering lanes are promoted");
+            let r = &t.refs[plan.pos];
+            i += self.logs[l].apply(r, k, &scratch[i..], |_| {});
+            for s in [&mut self.lane_stats[l], &mut self.stats] {
                 s.nodes_computed += r.emissions.nodes;
                 s.arcs_evaluated += r.emissions.arcs;
                 s.iterations_completed += r.emissions.iters;
-                self.stats.nodes_computed += r.emissions.nodes;
-                self.stats.arcs_evaluated += r.emissions.arcs;
-                self.stats.iterations_completed += r.emissions.iters;
             }
             lanes_pd[l].note_fast_forwarded();
         }
@@ -1629,198 +1400,67 @@ impl BatchedEngine {
         k_b: u64,
         offers: &[Option<(Time, u64)>],
     ) -> Result<(), EngineError> {
-        let b = self.lanes;
-        let n = self.tdg.node_count();
         let start = k_b.saturating_sub(self.horizon);
-        // Pass 1: every shifted accumulator, checked, into flat scratch.
+        let promoted = || {
+            let lanes = offers.iter().enumerate().filter(|(_, o)| o.is_some());
+            lanes.map(|(l, _)| {
+                (
+                    l,
+                    lanes_pd[l].template().expect("offering lanes are promoted"),
+                )
+            })
+        };
+        // Pass 1: every offering lane's shifted accumulators, checked, into
+        // flat scratch (lane-major).
         let mut scratch = std::mem::take(&mut self.ff_acc_scratch);
         scratch.clear();
-        let mut fail = None;
-        'outer: for j in start..k_b {
-            for (l, o) in offers.iter().enumerate() {
-                if o.is_none() {
-                    continue;
-                }
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                debug_assert!(
-                    start >= t.k0 + t.p,
-                    "the confirmation window spans the history horizon"
-                );
-                let (pos, m) = t.locate(j);
-                let r = &t.refs[pos];
-                for node in 0..n {
-                    match periodic::shift_acc(r.acc[node], t.d[node], m) {
-                        Ok(v) => scratch.push(v),
-                        Err(e) => {
-                            fail = Some(e);
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-        }
-        if fail.is_none() && self.has_prefix {
-            'tail: for (l, o) in offers.iter().enumerate() {
-                if o.is_none() {
-                    continue;
-                }
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                let (pos, m) = t.locate(k_b - 1);
-                let tt = t.refs[pos].tail.as_ref().expect("prefix batches capture tails");
-                for node in 0..n {
-                    if tt.computed[node] {
-                        match periodic::shift_acc(tt.acc[node], t.d[node], m) {
-                            Ok(v) => scratch.push(v),
-                            Err(e) => {
-                                fail = Some(e);
-                                break 'tail;
-                            }
-                        }
-                    } else {
-                        scratch.push(0);
-                    }
-                }
-            }
-        }
-        if let Some(e) = fail {
+        let tail = self.has_prefix;
+        let shifted = promoted()
+            .try_for_each(|(_, t)| periodic::shift_history(t, start, k_b, tail, &mut scratch));
+        if let Err(e) = shifted {
             self.ff_acc_scratch = scratch;
             return Err(e);
         }
         // Pass 2: rebuild. Templates store node-indexed accumulators; the
         // lane blocks are slot-indexed, so writes go through the inverse
         // schedule permutation.
-        while let Some(blk) = self.ring.pop_front() {
-            if self.free.len() < FREE_LIST_CAP {
-                self.free.push(blk);
-            }
-        }
+        self.release_ring();
         self.base_k = start;
-        let stride = self.stride;
-        let mut idx = 0;
-        for j in start..k_b {
+        for _ in start..k_b + u64::from(self.has_prefix) {
             let mut blk = self.take_block();
             blk.acc.fill(MaxPlus::EPSILON);
             blk.sizes.fill(0);
-            for (l, o) in offers.iter().enumerate() {
-                if o.is_none() {
-                    continue;
-                }
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                let (pos, _) = t.locate(j);
-                let r = &t.refs[pos];
-                for node in 0..n {
-                    let slot = self.compiled.pos_of_node[node] as usize;
-                    blk.acc[slot * stride + l] = MaxPlus::new(scratch[idx]);
-                    idx += 1;
-                }
-                for (rel, &size) in r.sizes.iter().enumerate() {
-                    blk.sizes[rel * b + l] = size;
-                }
-            }
             self.ring.push_back(blk);
         }
-        if self.has_prefix {
-            let mut blk = self.take_block();
-            blk.acc.fill(MaxPlus::EPSILON);
-            blk.sizes.fill(0);
-            for (l, o) in offers.iter().enumerate() {
-                if o.is_none() {
-                    continue;
-                }
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                let (pos, _) = t.locate(k_b - 1);
-                let tt = t.refs[pos].tail.as_ref().expect("prefix batches capture tails");
-                for node in 0..n {
-                    let v = scratch[idx];
-                    idx += 1;
-                    if tt.computed[node] {
-                        let slot = self.compiled.pos_of_node[node] as usize;
-                        blk.acc[slot * stride + l] = MaxPlus::new(v);
+        let (b, stride) = (self.lanes, self.stride);
+        let pos_of = &self.compiled.pos_of_node;
+        let mut rows = scratch.chunks_exact(self.tdg.node_count());
+        for (l, t) in promoted() {
+            for (j, blk) in (start..).zip(&mut self.ring) {
+                // History blocks take every node; the look-ahead tail for
+                // `k_b` only the prefix nodes it computed.
+                let (computed, sizes) = if j < k_b {
+                    (None, &t.refs[t.locate(j).0].sizes)
+                } else {
+                    let tt = t.refs[t.locate(k_b - 1).0].tail.as_ref();
+                    let tt = tt.expect("prefix batches capture tails");
+                    (Some(&tt.computed), &tt.sizes)
+                };
+                let row = rows.next().expect("one shifted row per block and lane");
+                for (node, &v) in row.iter().enumerate() {
+                    if computed.is_none_or(|c| c[node]) {
+                        blk.acc[pos_of[node] as usize * stride + l] = MaxPlus::new(v);
                     }
                 }
-                for (rel, &size) in tt.sizes.iter().enumerate() {
+                for (rel, &size) in sizes.iter().enumerate() {
                     blk.sizes[rel * b + l] = size;
                 }
             }
-            self.ring.push_back(blk);
         }
-        debug_assert_eq!(idx, scratch.len());
+        debug_assert!(rows.next().is_none());
         self.lookahead_ran = self.has_prefix;
         self.ff_acc_scratch = scratch;
         Ok(())
-    }
-
-    /// Snapshots observable-state lengths of all lanes so
-    /// [`BatchedEngine::ff_collect_lane`] can diff out exactly what the
-    /// upcoming lockstep call emits per lane.
-    fn ff_mark(&mut self) {
-        let m = &mut self.ff_marks;
-        m.instants.clear();
-        m.instants.extend(self.instant_log.iter().map(Vec::len));
-        m.reads.clear();
-        m.reads.extend(self.read_log.iter().map(Vec::len));
-        m.outputs.clear();
-        m.outputs.extend(self.outputs_ready.iter().map(VecDeque::len));
-        m.execs.clear();
-        m.execs.extend(self.exec_records.iter().map(Vec::len));
-        m.acks.clear();
-        m.acks.extend_from_slice(&self.acks);
-    }
-
-    /// Diffs lane `l`'s observable state against the marks: the complete
-    /// emission set of the lockstep call at iteration `k` for that lane.
-    /// The stats increments are the analytic per-lane deltas — exactly what
-    /// the sweep charges each offered lane.
-    fn ff_collect_lane(&self, l: usize, k: u64, delta: &EngineStats) -> CallEmissions {
-        let m = &self.ff_marks;
-        let mut e = CallEmissions::default();
-        let rbase = l * self.relation_count;
-        for rel in 0..self.relation_count {
-            let log = &self.instant_log[rbase + rel];
-            for t in &log[m.instants[rbase + rel]..] {
-                e.instants.push((rel as u32, t.ticks()));
-            }
-        }
-        for rel in 0..self.relation_count {
-            let log = &self.read_log[rbase + rel];
-            for t in &log[m.reads[rbase + rel]..] {
-                e.reads.push((rel as u32, t.ticks()));
-            }
-        }
-        for r in &self.exec_records[l][m.execs[l]..] {
-            debug_assert!(r.k >= k, "lockstep records belong to k or the look-ahead");
-            e.execs.push(ExecEmission {
-                k_off: r.k - k,
-                resource: r.resource,
-                function: r.function,
-                stmt: r.stmt,
-                start: r.start.ticks(),
-                end: r.end.ticks(),
-                ops: r.ops,
-            });
-        }
-        let obase = l * self.n_outputs;
-        for out in 0..self.n_outputs {
-            for &(ok, t, s) in self.outputs_ready[obase + out].iter().skip(m.outputs[obase + out]) {
-                debug_assert!(ok >= k);
-                e.outputs.push(OutputEmission {
-                    output: out as u32,
-                    k_off: ok - k,
-                    at: t.ticks(),
-                    size: s,
-                });
-            }
-        }
-        if self.acks[l] != m.acks[l] {
-            if let Some((ak, t)) = self.acks[l] {
-                debug_assert!(ak >= k);
-                e.ack = Some((ak - k, t.ticks()));
-            }
-        }
-        e.nodes = delta.nodes_computed;
-        e.arcs = delta.arcs_evaluated;
-        e.iters = delta.iterations_completed;
-        e
     }
 
     /// De-strides lane `l`'s view of iteration `k`'s block (and the
@@ -1882,7 +1522,7 @@ impl BatchedEngine {
                 continue; // verified against its template in ff_handle_offers
             }
             let wants = pd.wants_capture();
-            let emissions = (captured && wants).then(|| self.ff_collect_lane(l, k, delta));
+            let emissions = (captured && wants).then(|| self.logs[l].collect(k, delta));
             if wants {
                 self.ff_gather_lane(l, k);
             }
@@ -1902,19 +1542,7 @@ impl BatchedEngine {
                 tail,
                 emissions,
             };
-            if pd.observe_fast_call(&obs) == Observed::ReadyToPromote {
-                let arcs = self
-                    .tdg
-                    .arcs()
-                    .iter()
-                    .map(|a| (a.src.index(), a.dst.index()));
-                if pd.try_promote(arcs).is_some() {
-                    periodic::debug_check_against_oracle(
-                        &self.tdg,
-                        pd.template().expect("just promoted"),
-                    );
-                }
-            }
+            pd.observe_fast_call(&obs, &self.tdg);
         }
     }
 }

@@ -196,23 +196,11 @@ impl CollapsePlan {
     /// Derives the plan from a compiled program and its single input node.
     pub(crate) fn build(ct: &CompiledTdg, input_node: usize) -> CollapsePlan {
         let slots = ct.schedule.len();
-        let input_slot = ct
-            .schedule
-            .iter()
-            .position(|&nd| nd as usize == input_node)
-            .expect("schedule is a permutation of all nodes");
-        let span = |offsets: &[u32], slot: usize| (offsets[slot + 1] - offsets[slot]) as u64;
-        let total = |offsets: &[u32]| (offsets[slots] - offsets[0]) as u64;
-        let arcs = total(&ct.const_offsets) + total(&ct.slow_offsets) + total(&ct.exec_offsets)
-            - span(&ct.const_offsets, input_slot)
-            - span(&ct.slow_offsets, input_slot)
-            - span(&ct.exec_offsets, input_slot);
-        let observed = ct
-            .schedule
-            .iter()
-            .zip(&ct.obs)
-            .filter(|&(&nd, obs)| nd as usize != input_node && !matches!(obs, Obs::None))
-            .map(|(&nd, _)| nd)
+        let others = || ct.slots().filter(|slot| slot.node != input_node);
+        let arcs = others().map(|slot| slot.arcs()).sum();
+        let observed = others()
+            .filter(|slot| !matches!(slot.obs, Obs::None))
+            .map(|slot| slot.node as u32)
             .collect();
         CollapsePlan {
             nodes: slots as u64,
@@ -267,30 +255,19 @@ pub(crate) fn compute_seeds(
         return Err(DeltaUnsupported::StructureMismatch);
     }
 
-    let slots = base.schedule.len();
-    let mut seeds = vec![false; slots];
-    let mut seed_count = 0usize;
-    for (slot, seed) in seeds.iter_mut().enumerate() {
-        let (c0, chi) = (
-            base.const_offsets[slot] as usize,
-            base.const_offsets[slot + 1] as usize,
-        );
-        let (s0, shi) = (
-            base.slow_offsets[slot] as usize,
-            base.slow_offsets[slot + 1] as usize,
-        );
-        let (e0, ehi) = (
-            base.exec_offsets[slot] as usize,
-            base.exec_offsets[slot + 1] as usize,
-        );
-        let seeded = base.const_lags[c0..chi] != sib.const_lags[c0..chi]
-            || base.slow_lags[s0..shi] != sib.slow_lags[s0..shi]
-            || (e0..ehi).any(|i| base.exec_arcs[i].weight != sib.exec_arcs[i].weight);
-        if seeded {
-            *seed = true;
-            seed_count += 1;
-        }
-    }
+    let seeds: Vec<bool> = base
+        .slots()
+        .map(|slot| {
+            let (c, s) = (slot.consts, slot.slows);
+            base.const_lags[c.clone()] != sib.const_lags[c]
+                || base.slow_lags[s.clone()] != sib.slow_lags[s]
+                || slot
+                    .execs
+                    .into_iter()
+                    .any(|i| base.exec_arcs[i].weight != sib.exec_arcs[i].weight)
+        })
+        .collect();
+    let seed_count = seeds.iter().filter(|&&seeded| seeded).count();
     Ok((seeds, seed_count))
 }
 

@@ -125,6 +125,22 @@ impl DerivedTdg {
         self.replace_tdg(next);
     }
 
+    /// Whether every token-size read (exec weights and derived size rules)
+    /// stays within the arc-delay horizon: the history both engines retain
+    /// and fast-forward demotion rebuilds.
+    pub(crate) fn size_reads_within_horizon(&self) -> bool {
+        let execs = self.tdg.arcs().iter().flat_map(|arc| &arc.weight.execs);
+        let rules = self.size_rules.iter().map(|rule| match rule {
+            SizeRule::Derived { from, .. } => *from,
+            SizeRule::External => None,
+        });
+        let horizon = self.tdg.max_delay();
+        execs
+            .map(|term| term.size_from)
+            .chain(rules)
+            .all(|from| from.is_none_or(|(_, delay)| delay <= horizon))
+    }
+
     /// Decomposes into `(graph, size rules, topological order)`.
     pub fn into_parts(self) -> (Tdg, SizeRules, Vec<NodeId>) {
         (self.tdg, self.size_rules, self.topo)

@@ -37,20 +37,21 @@ use std::sync::Arc;
 
 use evolve_des::{EventId, Time};
 use evolve_maxplus::MaxPlus;
-use evolve_model::{ExecRecord, LoadContext};
+use evolve_model::ExecRecord;
 use evolve_obs::{BackendKind, EngineEvent, Observer};
 
-use crate::compile::{lower_node_meta, CompiledTdg, EvalBackend, Obs};
+use crate::compile::{lower_node_meta, CompiledTdg, EvalBackend, Obs, Slot};
 use crate::delta::{
     self, DeltaCache, DeltaCaptureState, DeltaLink, DeltaRow, DeltaStats, DeltaUnsupported,
 };
 use crate::derive::{DerivedTdg, SizeRule};
 use crate::error::EngineError;
+use crate::lane::{eval_weight, LaneLog, LaneState, Wake};
 use crate::periodic::{
-    self, CallEmissions, CallObservation, ExecEmission, FastForward, FastForwardStats, Observed,
-    OutputEmission, PeriodicConfig, PeriodicState, ReplayPlan, TailObservation, Template,
+    self, CallObservation, FastForward, FastForwardStats, PeriodicConfig, PeriodicState,
+    ReplayPlan, TailObservation, Template,
 };
-use crate::tdg::{NodeId, NodeKind, Tdg, Weight};
+use crate::tdg::{NodeId, NodeKind, Tdg};
 
 /// A kernel notification requested by the engine: wake `event` immediately
 /// (`at == None`) or at the given computed instant.
@@ -61,6 +62,12 @@ pub struct Notification {
     /// When to notify; `None` = in the current delta cycle.
     pub at: Option<Time>,
 }
+
+/// Latest instant, in ticks, an engine represents: offer instants, arc lags
+/// and computed instants are lifted into the finite (max,+) range, whose top
+/// is [`MaxPlus::MAX`]. A caller feeding offers or loads from outside the
+/// program keeps a run's instants within it.
+pub const MAX_INSTANT_TICKS: u64 = MaxPlus::MAX.raw() as u64;
 
 /// Upper bound on recycled [`IterState`]s retained by the free list.
 const FREE_LIST_CAP: usize = 16;
@@ -118,10 +125,11 @@ struct IterState {
 }
 
 impl IterState {
-    fn fresh(nodes: usize, relations: usize, execs: usize) -> Self {
+    fn fresh(template: &[u32], relations: usize, execs: usize) -> Self {
+        let nodes = template.len();
         IterState {
             acc: vec![MaxPlus::EPSILON; nodes],
-            remaining: vec![0; nodes],
+            remaining: template.to_vec(),
             computed: vec![false; nodes],
             sizes: vec![0; relations],
             exec_stash: vec![(MaxPlus::EPSILON, 0); execs],
@@ -155,47 +163,161 @@ fn iter_at_mut(ring: &mut VecDeque<IterState>, base: u64, k: u64) -> Option<&mut
     ring.get_mut((k - base) as usize)
 }
 
-/// Evaluates a weight at iteration `k`: total lag in ticks plus the raw
-/// operation count (for observation).
-#[inline]
-fn eval_weight(
-    weight: &Weight,
+/// One scalar lane around iteration `k` while the compiled sweep holds `k`
+/// outside the ring (`tail`); history stays in the ring.
+struct TailLane<'a> {
+    tail: &'a mut IterState,
+    ring: &'a VecDeque<IterState>,
+    base_k: u64,
+    k: u64,
+}
+
+impl LaneState for TailLane<'_> {
+    #[inline]
+    fn size(&self, rel: usize, delay: u32) -> u64 {
+        if delay == 0 {
+            self.tail.sizes[rel]
+        } else {
+            iter_at(self.ring, self.base_k, self.k - u64::from(delay)).map_or(0, |it| it.sizes[rel])
+        }
+    }
+
+    #[inline]
+    fn set_size(&mut self, rel: usize, size: u64) {
+        self.tail.sizes[rel] = size;
+    }
+
+    #[inline]
+    fn stash(&self, dense: usize) -> (MaxPlus, u64) {
+        self.tail.exec_stash[dense]
+    }
+}
+
+/// One scalar lane around iteration `k` on the worklist path, where `k`
+/// and its history all live in the ring.
+struct RingLane<'a> {
+    ring: &'a mut VecDeque<IterState>,
+    base_k: u64,
+    k: u64,
+}
+
+impl LaneState for RingLane<'_> {
+    fn size(&self, rel: usize, delay: u32) -> u64 {
+        iter_at(self.ring, self.base_k, self.k - u64::from(delay)).map_or(0, |it| it.sizes[rel])
+    }
+
+    fn set_size(&mut self, rel: usize, size: u64) {
+        if let Some(it) = iter_at_mut(self.ring, self.base_k, self.k) {
+            it.sizes[rel] = size;
+        }
+    }
+
+    fn stash(&self, dense: usize) -> (MaxPlus, u64) {
+        iter_at(self.ring, self.base_k, self.k)
+            .map_or((MaxPlus::EPSILON, 0), |it| it.exec_stash[dense])
+    }
+}
+
+/// One slot of the scalar compiled sweep: folds the node's slow, exec and
+/// const arcs into its instant at iteration `k` (held outside the ring in
+/// `tail`; all dependencies are available), stores it with any exec stash,
+/// and returns it. The plain sweep folds every slot, the delta sweep its
+/// dirty ones; both mark the whole tail computed once the walk ends.
+#[inline(always)]
+fn fold_slot(
+    ct: &CompiledTdg,
+    slot: &Slot,
     k: u64,
     ring: &VecDeque<IterState>,
-    base: u64,
-    tail: Option<&IterState>,
-) -> (u64, u64) {
-    let mut lag = weight.constant;
-    let mut ops_total = 0u64;
-    for term in &weight.execs {
-        let size = match term.size_from {
-            None => 0,
-            Some((rel, delay)) => {
-                if u64::from(delay) > k {
-                    0
-                } else if delay == 0 {
-                    // Iteration `k` itself: held outside the ring by the
-                    // compiled sweep, inside it on the worklist path.
-                    match tail {
-                        Some(it) => it.sizes[rel.index()],
-                        None => iter_at(ring, base, k).map_or(0, |it| it.sizes[rel.index()]),
-                    }
-                } else {
-                    iter_at(ring, base, k - u64::from(delay))
-                        .map_or(0, |it| it.sizes[rel.index()])
-                }
-            }
-        };
-        let ops = term.load.ops(LoadContext {
-            function: term.function.index(),
-            stmt: term.stmt,
-            k,
-            size,
-        });
-        ops_total += ops;
-        lag += evolve_model::duration_for(ops, term.speed).ticks();
+    base_k: u64,
+    record: bool,
+    tail: &mut IterState,
+) -> MaxPlus {
+    let history = |delay: u64, src: usize| {
+        if delay > k {
+            MaxPlus::E
+        } else {
+            iter_at(ring, base_k, k - delay).map_or(MaxPlus::E, |it| it.acc[src])
+        }
+    };
+    // Process-start baseline, then the slow stream: delayed constant arcs,
+    // read through the full history ring (delay ≥ 1 by construction).
+    let mut acc = MaxPlus::E;
+    for i in slot.slows.clone() {
+        let src_val = history(u64::from(ct.slow_delays[i]), ct.slow_srcs[i] as usize);
+        // ε ⊗ lag = ε, and ⊕ ε is a no-op — no explicit skip needed.
+        acc = acc.oplus(src_val.otimes(ct.slow_lags[i]));
     }
-    (lag, ops_total)
+    // Exec stream: data-dependent arcs (any delay), each weight evaluated
+    // against this iteration's token sizes.
+    let mut stash: Option<(u32, (MaxPlus, u64))> = None;
+    for i in slot.execs.clone() {
+        let delay = u64::from(ct.exec_delays[i]);
+        let src = ct.exec_srcs[i] as usize;
+        let src_val = if delay == 0 {
+            tail.acc[src]
+        } else {
+            history(delay, src)
+        };
+        if src_val.is_epsilon() {
+            continue;
+        }
+        let exec = &ct.exec_arcs[i];
+        let sizes = TailLane {
+            tail: &mut *tail,
+            ring,
+            base_k,
+            k,
+        };
+        let (lag, ops) = eval_weight(&exec.weight, k, &sizes);
+        if record && exec.stash_dense != u32::MAX {
+            stash = Some((exec.stash_dense, (src_val, ops)));
+        }
+        acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
+    }
+    // Constant stream: the branch-light common case, a contiguous max-fold
+    // over same-iteration sources of the tail state. The zipped subslices
+    // elide per-arc bounds checks.
+    let consts = slot.consts.clone();
+    for (&src, &lag) in ct.const_srcs[consts.clone()]
+        .iter()
+        .zip(&ct.const_lags[consts])
+    {
+        let src_val = tail.acc[src as usize];
+        if !src_val.is_epsilon() {
+            acc = acc.oplus(src_val.otimes(lag));
+        }
+    }
+    tail.acc[slot.node] = acc;
+    if let Some((dense, captured)) = stash {
+        tail.exec_stash[dense as usize] = captured;
+    }
+    acc
+}
+
+/// Kernel events registered per input and output, and the notifications
+/// requested of them so far.
+#[derive(Debug)]
+struct Notifier {
+    input_events: Vec<Option<EventId>>,
+    output_events: Vec<Option<EventId>>,
+    pending: Vec<Notification>,
+}
+
+impl Notifier {
+    /// Queues the notification `wake` asks for, if its event is registered.
+    #[inline]
+    fn wake(&mut self, wake: Wake) {
+        let (event, at) = match wake {
+            // Wake the reception in the current delta cycle.
+            Wake::Ack(input) => (self.input_events[input as usize], None),
+            // Wake the emission directly at the output instant.
+            Wake::Output(output, t) => (self.output_events[output as usize], Some(t)),
+        };
+        if let Some(event) = event {
+            self.pending.push(Notification { event, at });
+        }
+    }
 }
 
 /// Incremental evaluator of a derived temporal dependency graph.
@@ -259,19 +381,10 @@ pub struct Engine {
     work: VecDeque<(u64, NodeId)>,
     /// Next expected iteration per input.
     next_input_k: Vec<u64>,
-    /// Most recent acknowledgment instant per input: `(k, instant)`.
-    acks: Vec<Option<(u64, Time)>>,
-    /// Computed outputs per output index (iteration, instant, token size).
-    outputs_ready: Vec<VecDeque<(u64, Time, u64)>>,
-    /// Exchange-instant log per relation (write instants).
-    instant_log: Vec<Vec<Time>>,
-    /// Read-instant log per relation (differs from writes only for FIFOs).
-    read_log: Vec<Vec<Time>>,
-    exec_records: Vec<ExecRecord>,
+    /// Acknowledgments, outputs, instant logs and execution records.
+    log: LaneLog,
     record_observations: bool,
-    input_events: Vec<Option<EventId>>,
-    output_events: Vec<Option<EventId>>,
-    pending_notifications: Vec<Notification>,
+    notifier: Notifier,
     stats: EngineStats,
     prune_counter: u32,
     /// Periodic fast-forward knob (Off by default for bare engines).
@@ -284,8 +397,8 @@ pub struct Engine {
     /// Online periodic-regime detector and template; `Some` iff fast-forward
     /// is enabled and the engine is eligible.
     periodic: Option<Box<PeriodicState>>,
-    /// Log-length marks taken around a fast-path call during confirmation.
-    ff_marks: FfMarks,
+    /// Statistics before a fast-path call captured during confirmation.
+    ff_stats_mark: EngineStats,
     /// Reusable two-pass extrapolation scratch (replayed instants).
     ff_scratch: Vec<u64>,
     /// Reusable two-pass extrapolation scratch (reconstructed accumulators).
@@ -298,18 +411,6 @@ pub struct Engine {
     delta: Option<Box<DeltaLink>>,
     /// In-progress base capture for [`Engine::finish_delta_capture`].
     delta_capture: Option<Box<DeltaCaptureState>>,
-}
-
-/// Snapshot of observable-state lengths, diffed after a captured call to
-/// recover exactly what the call emitted.
-#[derive(Default)]
-struct FfMarks {
-    instants: Vec<usize>,
-    reads: Vec<usize>,
-    outputs: Vec<usize>,
-    execs: usize,
-    ack: Option<(u64, Time)>,
-    stats: EngineStats,
 }
 
 impl std::fmt::Debug for Engine {
@@ -350,6 +451,7 @@ impl Engine {
         record_observations: bool,
         backend: EvalBackend,
     ) -> Self {
+        let size_reads_ok = derived.size_reads_within_horizon();
         let (tdg, size_rules, topo) = derived.into_parts();
         let n = tdg.node_count();
 
@@ -402,37 +504,12 @@ impl Engine {
         // driven input, no acknowledgment feedback, every load eventually
         // periodic in `k`, and no token-size read deeper than the history
         // horizon the demotion path reconstructs.
-        let mut ff_load_periods: Option<Vec<u64>> = Some(Vec::new());
-        let mut max_size_delay = 0u64;
-        for arc in tdg.arcs() {
-            for term in &arc.weight.execs {
-                match (term.load.k_period(), ff_load_periods.as_mut()) {
-                    (Some(q), Some(periods)) => {
-                        if !periods.contains(&q) {
-                            periods.push(q);
-                        }
-                    }
-                    _ => ff_load_periods = None,
-                }
-                if let Some((_, delay)) = term.size_from {
-                    max_size_delay = max_size_delay.max(u64::from(delay));
-                }
-            }
-        }
-        for rule in &size_rules {
-            if let SizeRule::Derived {
-                from: Some((_, delay)),
-                ..
-            } = rule
-            {
-                max_size_delay = max_size_delay.max(u64::from(*delay));
-            }
-        }
+        let ff_load_periods = periodic::load_periods(&tdg);
         let ff_eligible = compiled.is_some()
             && tdg.inputs().len() == 1
             && !has_output_acks
             && ff_load_periods.is_some()
-            && max_size_delay <= u64::from(tdg.max_delay());
+            && size_reads_ok;
 
         let n_inputs = tdg.inputs().len();
         let n_outputs = tdg.outputs().len();
@@ -456,22 +533,20 @@ impl Engine {
             free: Vec::new(),
             work: VecDeque::new(),
             next_input_k: vec![0; n_inputs],
-            acks: vec![None; n_inputs],
-            outputs_ready: vec![VecDeque::new(); n_outputs],
-            instant_log: vec![Vec::new(); relation_count],
-            read_log: vec![Vec::new(); relation_count],
-            exec_records: Vec::new(),
+            log: LaneLog::new(record_observations, relation_count, n_inputs, n_outputs),
             record_observations,
-            input_events: vec![None; n_inputs],
-            output_events: vec![None; n_outputs],
-            pending_notifications: Vec::new(),
+            notifier: Notifier {
+                input_events: vec![None; n_inputs],
+                output_events: vec![None; n_outputs],
+                pending: Vec::new(),
+            },
             stats: EngineStats::default(),
             prune_counter: 0,
             fast_forward: FastForward::Off,
             ff_eligible,
             ff_load_periods,
             periodic: None,
-            ff_marks: FfMarks::default(),
+            ff_stats_mark: EngineStats::default(),
             ff_scratch: Vec::new(),
             ff_acc_scratch: Vec::new(),
             observer: None,
@@ -717,29 +792,15 @@ impl Engine {
     /// cleared and must be re-registered if the engine is re-attached to a
     /// kernel.
     pub fn reset(&mut self) {
-        while let Some(state) = self.ring.pop_front() {
-            if self.free.len() < FREE_LIST_CAP {
-                self.free.push(state);
-            }
-        }
+        self.release_ring();
         self.base_k = 0;
         self.work.clear();
         self.next_input_k.fill(0);
         self.next_output_ack_k.fill(0);
-        self.acks.fill(None);
-        for queue in &mut self.outputs_ready {
-            queue.clear();
-        }
-        for log in &mut self.instant_log {
-            log.clear();
-        }
-        for log in &mut self.read_log {
-            log.clear();
-        }
-        self.exec_records.clear();
-        self.input_events.fill(None);
-        self.output_events.fill(None);
-        self.pending_notifications.clear();
+        self.log.clear();
+        self.notifier.input_events.fill(None);
+        self.notifier.output_events.fill(None);
+        self.notifier.pending.clear();
         self.stats = EngineStats::default();
         self.prune_counter = 0;
         // Fast-forward: keep the knob and eligibility, restart detection.
@@ -766,7 +827,7 @@ impl Engine {
             ring_capacity: self.ring.capacity(),
             free_capacity: self.free.capacity(),
             work_capacity: self.work.capacity(),
-            notification_capacity: self.pending_notifications.capacity(),
+            notification_capacity: self.notifier.pending.capacity(),
             compiled_elements: self
                 .compiled
                 .as_ref()
@@ -789,19 +850,19 @@ impl Engine {
     /// Registers the kernel event to notify when an ack instant for input
     /// `input` becomes computable.
     pub fn set_input_event(&mut self, input: usize, event: EventId) {
-        self.input_events[input] = Some(event);
+        self.notifier.input_events[input] = Some(event);
     }
 
     /// Registers the kernel event to notify when a new output instant for
     /// output `output` becomes known.
     pub fn set_output_event(&mut self, output: usize, event: EventId) {
-        self.output_events[output] = Some(event);
+        self.notifier.output_events[output] = Some(event);
     }
 
     /// Takes the notifications that must be delivered as a result of recent
     /// computation (the caller forwards them to the kernel).
     pub fn take_notifications(&mut self) -> Vec<Notification> {
-        std::mem::take(&mut self.pending_notifications)
+        std::mem::take(&mut self.notifier.pending)
     }
 
     /// Records the `k`-th offer on input `input` at instant `at` with the
@@ -842,7 +903,7 @@ impl Engine {
         let Some(mut ob) = self.observer.take() else {
             return self.try_set_input_impl(input, k, at, size);
         };
-        let rec_mark = self.exec_records.len();
+        let rec_mark = self.log.records.len();
         let ff_before = self.fast_forward_stats();
         let result = self.try_set_input_impl(input, k, at, size);
         let ff_after = self.fast_forward_stats();
@@ -854,20 +915,9 @@ impl Engine {
                     replayed: ff_after.fast_forwarded_iterations
                         > ff_before.fast_forwarded_iterations,
                 });
-                if ff_after.promotions > ff_before.promotions {
-                    let d = ff_after.detected.expect("promotion implies a regime");
-                    ob.on_event(EngineEvent::FfPromoted {
-                        k,
-                        lane: 0,
-                        growth: d.growth,
-                        period: d.period,
-                    });
-                }
-                if ff_after.demotions > ff_before.demotions {
-                    ob.on_event(EngineEvent::FfDemoted { k, lane: 0 });
-                }
-                if self.exec_records.len() > rec_mark {
-                    ob.on_records(0, &self.exec_records[rec_mark..]);
+                ff_after.report_since(&ff_before, ob.as_mut(), k, 0);
+                if self.log.records.len() > rec_mark {
+                    ob.on_records(0, &self.log.records[rec_mark..]);
                 }
             }
             Err(_) => ob.on_event(EngineEvent::Overflow { k }),
@@ -946,7 +996,8 @@ impl Engine {
             // observable-state marks before the sweep while confirming.
             let capture = self.periodic.as_ref().is_some_and(|p| p.wants_capture());
             if capture {
-                self.ff_mark();
+                self.log.mark();
+                self.ff_stats_mark = self.stats;
             }
             // Delta mode: within the cached range, diff against the base
             // row instead of recomputing every node. Beyond it (or with no
@@ -1017,11 +1068,35 @@ impl Engine {
         }
     }
 
+    /// Opens iteration `k` for a fast-path sweep — fresh (one past the
+    /// ring) or the partially computed look-ahead at the tail — applies the
+    /// offer, and pops it out of the ring: owned access sidesteps the ring's
+    /// bounds-checked `back_mut()` on every node, and older iterations keep
+    /// their ring indices, so delayed reads via `iter_at` stay valid.
+    fn open_tail(
+        &mut self,
+        k: u64,
+        input_node: NodeId,
+        input_relation: usize,
+        at: Time,
+        size: u64,
+    ) -> IterState {
+        if k == self.base_k + self.ring.len() as u64 {
+            let state = self.take_state();
+            self.ring.push_back(state);
+        }
+        let mut tail = self.ring.pop_back().expect("tail exists");
+        tail.sizes[input_relation] = size;
+        tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
+        tail.nodes_pending = 0;
+        self.stats.iterations_completed += 1;
+        tail
+    }
+
     /// Evaluates (the remainder of) iteration `k` in one linear pass over
     /// the compiled schedule; all dependencies are guaranteed available
     /// (same-iteration sources precede their targets in the levelized
-    /// order, history is complete). `k` is either fresh (one past the ring)
-    /// or the partially computed look-ahead at the tail.
+    /// order, history is complete).
     fn compute_iteration_compiled(
         &mut self,
         k: u64,
@@ -1030,29 +1105,7 @@ impl Engine {
         at: Time,
         size: u64,
     ) {
-        if k == self.base_k + self.ring.len() as u64 {
-            let mut state = match self.free.pop() {
-                Some(mut s) => {
-                    s.reset(&self.remaining_template);
-                    s
-                }
-                None => {
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs)
-                }
-            };
-            state.computed.fill(false);
-            self.ring.push_back(state);
-        }
-        // Pop iteration `k`'s state out of the ring for the sweep: owned
-        // access sidesteps the ring's bounds-checked `back()`/`back_mut()`
-        // on every node. Older iterations keep their ring indices, so
-        // delayed reads via `iter_at` stay valid.
-        let mut tail = self.ring.pop_back().expect("tail exists");
-        tail.sizes[input_relation] = size;
-        tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
-        tail.nodes_pending = 0;
-        self.stats.iterations_completed += 1;
-
+        let mut tail = self.open_tail(k, input_node, input_relation, at, size);
         // Moved out of `self` for the duration of the sweep so arc ranges
         // can be read while the ring and logs are mutated.
         let ct = self.compiled.take().expect("compiled backend gated by fast_ok");
@@ -1061,9 +1114,8 @@ impl Engine {
         tail.computed[input_node.index()] = true;
         let mut nodes_local = 1u64;
         let mut arcs_local = 0u64;
-        // Rolling CSR cursors: one offset load per slot per stream; offsets
-        // and observation actions ride the zipped iterators, so the hot loop
-        // indexes only per-node state.
+        // Rolling CSR cursors; a `Slot` is built only past the look-ahead
+        // skip (see `CompiledTdg::slots`).
         let mut clo = ct.const_offsets[0] as usize;
         let mut slo = ct.slow_offsets[0] as usize;
         let mut elo = ct.exec_offsets[0] as usize;
@@ -1084,66 +1136,24 @@ impl Engine {
                 // the pre-marked input node.
                 continue;
             }
+            let slot = Slot {
+                node,
+                obs,
+                consts: c0..chi,
+                slows: s0..shi,
+                execs: e0..ehi,
+            };
             nodes_local += 1;
-            arcs_local += (chi - c0 + shi - s0 + ehi - e0) as u64;
-            let mut acc = MaxPlus::E; // process-start baseline
-            // Slow stream first: delayed constant arcs, read through the
-            // full history ring (delay ≥ 1 by construction).
-            for i in s0..shi {
-                let delay = u64::from(ct.slow_delays[i]);
-                let src = ct.slow_srcs[i] as usize;
-                let src_val = if delay > k {
-                    MaxPlus::E
-                } else {
-                    iter_at(&self.ring, self.base_k, k - delay)
-                        .map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                // ε ⊗ lag = ε, and ⊕ ε is a no-op — no explicit skip needed.
-                acc = acc.oplus(src_val.otimes(ct.slow_lags[i]));
-            }
-            // Exec stream: data-dependent arcs (any delay), each weight
-            // evaluated against this iteration's token sizes.
-            let mut stash: Option<(u32, (MaxPlus, u64))> = None;
-            for i in e0..ehi {
-                let delay = u64::from(ct.exec_delays[i]);
-                let src = ct.exec_srcs[i] as usize;
-                let src_val = if delay == 0 {
-                    tail.acc[src]
-                } else if delay > k {
-                    MaxPlus::E
-                } else {
-                    iter_at(&self.ring, self.base_k, k - delay)
-                        .map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                if src_val.is_epsilon() {
-                    continue;
-                }
-                let exec = &ct.exec_arcs[i];
-                let (lag, ops) =
-                    eval_weight(&exec.weight, k, &self.ring, self.base_k, Some(&tail));
-                if self.record_observations && exec.stash_dense != u32::MAX {
-                    stash = Some((exec.stash_dense, (src_val, ops)));
-                }
-                acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-            }
-            // Constant stream: the branch-light common case, a contiguous
-            // max-fold over same-iteration sources of the tail state. The
-            // zipped subslices elide per-arc bounds checks.
-            for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
-                let src_val = tail.acc[src as usize];
-                if !src_val.is_epsilon() {
-                    acc = acc.oplus(src_val.otimes(lag));
-                }
-            }
-            tail.acc[node] = acc;
-            tail.computed[node] = true;
-            if let Some((dense, captured)) = stash {
-                tail.exec_stash[dense as usize] = captured;
-            }
+            arcs_local += slot.arcs();
+            let record = self.record_observations;
+            let acc = fold_slot(&ct, &slot, k, &self.ring, self.base_k, record, &mut tail);
             if !matches!(obs, Obs::None) {
-                self.observe_at(k, NodeId(node), acc, Some(&mut tail));
+                self.observe_tail(k, obs, acc, &mut tail);
             }
         }
+        // The schedule is a permutation of all nodes, and a slot's flag is
+        // read only by its own skip test, so the walk marks them all here.
+        tail.computed.fill(true);
         self.stats.nodes_computed += nodes_local;
         self.stats.arcs_evaluated += arcs_local;
         self.ring.push_back(tail);
@@ -1206,32 +1216,13 @@ impl Engine {
         size: u64,
     ) {
         let fresh = k == self.base_k + self.ring.len() as u64;
-        if fresh {
-            let mut state = match self.free.pop() {
-                Some(mut s) => {
-                    s.reset(&self.remaining_template);
-                    s
-                }
-                None => {
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs)
-                }
-            };
-            state.computed.fill(false);
-            self.ring.push_back(state);
-        }
-        let mut tail = self.ring.pop_back().expect("tail exists");
-        tail.sizes[input_relation] = size;
-        tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
-        tail.nodes_pending = 0;
-        self.stats.iterations_completed += 1;
-
+        let mut tail = self.open_tail(k, input_node, input_relation, at, size);
         // Both the compiled program and the link move out of `self` for the
         // sweep (observation mutates logs and the ring).
         let ct = self.compiled.take().expect("compiled backend gated by fast_ok");
         let mut link = self.delta.take().expect("delta link gated by use_delta");
         let row = &link.cache.rows[k as usize];
         let rows = &link.cache.rows;
-        let seeds = &link.seeds;
         let force_clean = link.seed_count == 0 && link.offers_matched;
 
         if force_clean && fresh {
@@ -1249,7 +1240,7 @@ impl Engine {
             }
             for &obs_node in &link.collapse.observed {
                 let node = obs_node as usize;
-                self.observe_at(k, NodeId(node), row.acc[node], Some(&mut tail));
+                self.observe_tail(k, self.node_obs[node], row.acc[node], &mut tail);
             }
             self.stats.nodes_computed += link.collapse.nodes;
             self.stats.arcs_evaluated += link.collapse.arcs;
@@ -1268,6 +1259,7 @@ impl Engine {
         let mut reused = 0u64;
         let mut recomputed = 0u64;
         let mut settled = 0u64;
+        // The plain sweep's walk, zipped with each slot's seed.
         let mut clo = ct.const_offsets[0] as usize;
         let mut slo = ct.slow_offsets[0] as usize;
         let mut elo = ct.exec_offsets[0] as usize;
@@ -1278,8 +1270,8 @@ impl Engine {
             .zip(&ct.slow_offsets[1..])
             .zip(&ct.exec_offsets[1..])
             .zip(&ct.obs)
-            .enumerate();
-        for (slot, ((((&slot_node, &chi), &shi), &ehi), &obs)) in slots {
+            .zip(&link.seeds);
+        for (((((&slot_node, &chi), &shi), &ehi), &obs), &seeded) in slots {
             let node = slot_node as usize;
             let (chi, shi, ehi) = (chi as usize, shi as usize, ehi as usize);
             let (c0, s0, e0) = (clo, slo, elo);
@@ -1287,149 +1279,99 @@ impl Engine {
             if tail.computed[node] {
                 continue;
             }
+            let slot = Slot {
+                node,
+                obs,
+                consts: c0..chi,
+                slows: s0..shi,
+                execs: e0..ehi,
+            };
             // Stats accrue exactly as in the full sweep, clean or dirty:
             // the conformance bar includes `EngineStats`.
             nodes_local += 1;
-            arcs_local += (chi - c0 + shi - s0 + ehi - e0) as u64;
+            arcs_local += slot.arcs();
 
-            let dirty = if force_clean {
-                false
-            } else if seeds[slot] {
-                true
-            } else {
-                // Same-iteration constant sources: live tail vs cached row.
-                let mut d = ct.const_srcs[c0..chi]
-                    .iter()
-                    .any(|&src| tail.acc[src as usize] != row.acc[src as usize]);
-                // Delayed constant sources through the history ring. A
-                // pruned live iteration reads as ε exactly like the full
-                // sweep's defensive read; comparing it against the cached
-                // value is conservative (at worst a spurious recompute).
-                d = d
-                    || (s0..shi).any(|i| {
-                        let delay = u64::from(ct.slow_delays[i]);
-                        if delay > k {
-                            return false; // both sides are ε
-                        }
-                        let src = ct.slow_srcs[i] as usize;
-                        let live = iter_at(&self.ring, self.base_k, k - delay)
-                            .map_or(MaxPlus::E, |it| it.acc[src]);
-                        live != rows[(k - delay) as usize].acc[src]
-                    });
-                // Exec arcs: the source instant and every token size the
-                // weight reads feed the fold.
-                d = d
-                    || (e0..ehi).any(|i| {
+            // A live history read against the cached row. A pruned live
+            // iteration reads as ε exactly like the full sweep's defensive
+            // read; comparing it against the cached value is conservative
+            // (at worst a spurious recompute).
+            let (ring, base_k) = (&self.ring, self.base_k);
+            let acc_differs = |delay: u64, src: usize| {
+                delay <= k // before iteration 0 both sides are ε
+                    && iter_at(ring, base_k, k - delay).map_or(MaxPlus::E, |it| it.acc[src])
+                        != rows[(k - delay) as usize].acc[src]
+            };
+
+            let dirty = !force_clean
+                && (seeded
+                    // Same-iteration constant sources: live tail vs cached row.
+                    || ct.const_srcs[slot.consts.clone()]
+                        .iter()
+                        .any(|&src| tail.acc[src as usize] != row.acc[src as usize])
+                    // Delayed constant sources through the history ring.
+                    || slot.slows.clone().any(|i| {
+                        acc_differs(u64::from(ct.slow_delays[i]), ct.slow_srcs[i] as usize)
+                    })
+                    // Exec arcs: the source instant and every token size
+                    // the weight reads feed the fold.
+                    || slot.execs.clone().any(|i| {
                         let delay = u64::from(ct.exec_delays[i]);
                         let src = ct.exec_srcs[i] as usize;
                         let src_differs = if delay == 0 {
                             tail.acc[src] != row.acc[src]
-                        } else if delay > k {
-                            false
                         } else {
-                            let live = iter_at(&self.ring, self.base_k, k - delay)
-                                .map_or(MaxPlus::E, |it| it.acc[src]);
-                            live != rows[(k - delay) as usize].acc[src]
+                            acc_differs(delay, src)
                         };
                         src_differs
                             || ct.exec_arcs[i].weight.execs.iter().any(|term| {
                                 let Some((rel, sd)) = term.size_from else {
                                     return false;
                                 };
-                                let sd = u64::from(sd);
+                                let (rel, sd) = (rel.index(), u64::from(sd));
                                 if sd > k {
                                     false // both sides read size 0
                                 } else if sd == 0 {
-                                    tail.sizes[rel.index()] != row.sizes[rel.index()]
+                                    tail.sizes[rel] != row.sizes[rel]
                                 } else {
-                                    let live = iter_at(&self.ring, self.base_k, k - sd)
-                                        .map_or(0, |it| it.sizes[rel.index()]);
-                                    live != rows[(k - sd) as usize].sizes[rel.index()]
+                                    iter_at(ring, base_k, k - sd).map_or(0, |it| it.sizes[rel])
+                                        != rows[(k - sd) as usize].sizes[rel]
                                 }
                             })
-                    });
-                d
-            };
+                    }));
 
-            if !dirty {
+            let acc = if dirty {
+                recomputed += 1;
+                let record = self.record_observations;
+                let acc = fold_slot(&ct, &slot, k, ring, base_k, record, &mut tail);
+                if acc == row.acc[node] {
+                    // Monotone early-out: downstream comparisons of this node
+                    // see no difference — the frontier stops here.
+                    settled += 1;
+                }
+                acc
+            } else {
                 reused += 1;
-                let acc = row.acc[node];
-                tail.acc[node] = acc;
-                tail.computed[node] = true;
+                tail.acc[node] = row.acc[node];
                 if self.record_observations {
                     // Equal fold inputs give equal stashes; the dense slots
                     // of this node's exec ends are written only by arcs in
                     // this slot's range, so copying them is exact.
-                    for i in e0..ehi {
+                    for i in slot.execs.clone() {
                         let dense = ct.exec_arcs[i].stash_dense;
                         if dense != u32::MAX {
                             tail.exec_stash[dense as usize] = row.stash[dense as usize];
                         }
                     }
                 }
-                if !matches!(obs, Obs::None) {
-                    self.observe_at(k, NodeId(node), acc, Some(&mut tail));
-                }
-                continue;
-            }
-
-            // Dirty: the exact slot body of the full compiled sweep.
-            recomputed += 1;
-            let mut acc = MaxPlus::E;
-            for i in s0..shi {
-                let delay = u64::from(ct.slow_delays[i]);
-                let src = ct.slow_srcs[i] as usize;
-                let src_val = if delay > k {
-                    MaxPlus::E
-                } else {
-                    iter_at(&self.ring, self.base_k, k - delay)
-                        .map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                acc = acc.oplus(src_val.otimes(ct.slow_lags[i]));
-            }
-            let mut stash: Option<(u32, (MaxPlus, u64))> = None;
-            for i in e0..ehi {
-                let delay = u64::from(ct.exec_delays[i]);
-                let src = ct.exec_srcs[i] as usize;
-                let src_val = if delay == 0 {
-                    tail.acc[src]
-                } else if delay > k {
-                    MaxPlus::E
-                } else {
-                    iter_at(&self.ring, self.base_k, k - delay)
-                        .map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                if src_val.is_epsilon() {
-                    continue;
-                }
-                let exec = &ct.exec_arcs[i];
-                let (lag, ops) =
-                    eval_weight(&exec.weight, k, &self.ring, self.base_k, Some(&tail));
-                if self.record_observations && exec.stash_dense != u32::MAX {
-                    stash = Some((exec.stash_dense, (src_val, ops)));
-                }
-                acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-            }
-            for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
-                let src_val = tail.acc[src as usize];
-                if !src_val.is_epsilon() {
-                    acc = acc.oplus(src_val.otimes(lag));
-                }
-            }
-            if acc == row.acc[node] {
-                // Monotone early-out: downstream comparisons of this node
-                // see no difference — the frontier stops here.
-                settled += 1;
-            }
-            tail.acc[node] = acc;
-            tail.computed[node] = true;
-            if let Some((dense, captured)) = stash {
-                tail.exec_stash[dense as usize] = captured;
-            }
-            if !matches!(obs, Obs::None) {
-                self.observe_at(k, NodeId(node), acc, Some(&mut tail));
+                row.acc[node]
+            };
+            if !matches!(slot.obs, Obs::None) {
+                self.observe_tail(k, slot.obs, acc, &mut tail);
             }
         }
+        // The schedule is a permutation of all nodes, and a slot's flag is
+        // read only by its own skip test, so the walk marks them all here.
+        tail.computed.fill(true);
         self.stats.nodes_computed += nodes_local;
         self.stats.arcs_evaluated += arcs_local;
         self.ring.push_back(tail);
@@ -1447,16 +1389,13 @@ impl Engine {
     /// The computed acknowledgment instant (boundary exchange) of the
     /// `k`-th offer on `input`, if known yet.
     pub fn ack_instant(&self, input: usize, k: u64) -> Option<Time> {
-        match self.acks[input] {
-            Some((stored_k, t)) if stored_k == k => Some(t),
-            _ => None,
-        }
+        self.log.ack_instant(input, k)
     }
 
     /// Pops the next computed output of output `output`, if any:
     /// `(iteration, emission instant, token size)`.
     pub fn next_output(&mut self, output: usize) -> Option<(u64, Time, u64)> {
-        self.outputs_ready[output].pop_front()
+        self.log.outputs[output].pop_front()
     }
 
     /// Returns `true` when `output` requires acknowledgment feedback
@@ -1473,12 +1412,12 @@ impl Engine {
     /// Panics if the output has no acknowledgment node or acknowledgments
     /// arrive out of iteration order.
     pub fn set_output_ack(&mut self, output: usize, k: u64, at: Time) {
-        let rec_mark = self.exec_records.len();
+        let rec_mark = self.log.records.len();
         self.set_output_ack_impl(output, k, at);
         if let Some(mut ob) = self.observer.take() {
             ob.on_event(EngineEvent::OutputAck { k });
-            if self.exec_records.len() > rec_mark {
-                ob.on_records(0, &self.exec_records[rec_mark..]);
+            if self.log.records.len() > rec_mark {
+                ob.on_records(0, &self.log.records[rec_mark..]);
             }
             self.observer = Some(ob);
         }
@@ -1506,23 +1445,23 @@ impl Engine {
     /// Exchange-instant log of a relation (write instants, in iteration
     /// order) — the computed counterpart of the simulator's channel log.
     pub fn instants(&self, relation: usize) -> &[Time] {
-        &self.instant_log[relation]
+        &self.log.instants[relation]
     }
 
     /// Read-instant log of a relation (differs from writes for FIFOs).
     pub fn read_instants(&self, relation: usize) -> &[Time] {
-        &self.read_log[relation]
+        &self.log.reads[relation]
     }
 
     /// Execution records replayed from computed instants (the observation
     /// over local time of paper Fig. 2(b)).
     pub fn exec_records(&self) -> &[ExecRecord] {
-        &self.exec_records
+        &self.log.records
     }
 
     /// Consumes the engine, returning its execution records.
     pub fn into_exec_records(self) -> Vec<ExecRecord> {
-        self.exec_records
+        self.log.records
     }
 
     // -- internals ---------------------------------------------------------
@@ -1537,18 +1476,7 @@ impl Engine {
     /// Opens the next iteration after the current back of the ring.
     fn open_next(&mut self) {
         let k = self.base_k + self.ring.len() as u64;
-        let mut state = match self.free.pop() {
-            Some(mut s) => {
-                s.reset(&self.remaining_template);
-                s
-            }
-            None => {
-                let mut s =
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs);
-                s.remaining.copy_from_slice(&self.remaining_template);
-                s
-            }
-        };
+        let mut state = self.take_state();
         // Nodes with no incoming arcs (other than inputs) take the
         // process-start baseline immediately.
         for idx in 0..self.baseline_nodes.len() {
@@ -1594,7 +1522,12 @@ impl Engine {
             // Fast path: constant lag.
             src_val.otimes(MaxPlus::new(arc.weight.constant as i64))
         } else {
-            let (lag, ops) = eval_weight(&arc.weight, k, &self.ring, self.base_k, None);
+            let sizes = RingLane {
+                ring: &mut self.ring,
+                base_k: self.base_k,
+                k,
+            };
+            let (lag, ops) = eval_weight(&arc.weight, k, &sizes);
             if self.record_observations && self.stash_arc[arc_idx] {
                 if let Obs::ExecEnd { dense, .. } = self.node_obs[dst.index()] {
                     if let Some(it) = iter_at_mut(&mut self.ring, self.base_k, k) {
@@ -1656,135 +1589,40 @@ impl Engine {
         }
     }
 
-    /// Observation side effects of a freshly computed node.
-    #[inline]
+    /// Observation side effects of a node the worklist just computed
+    /// (iteration `k` lives in the ring).
     fn observe(&mut self, k: u64, node: NodeId, value: MaxPlus) {
-        self.observe_at(k, node, value, None);
+        let mut lane = RingLane {
+            ring: &mut self.ring,
+            base_k: self.base_k,
+            k,
+        };
+        let notifier = &mut self.notifier;
+        let obs = self.node_obs[node.index()];
+        self.log
+            .observe(k, obs, value, &self.size_rules, &mut lane, |w| {
+                notifier.wake(w)
+            });
     }
 
-    /// [`Engine::observe`] with iteration `k`'s state optionally held
-    /// *outside* the ring (`tail`) — the compiled sweep pops the tail state
-    /// out for the duration of an iteration; size derivation and stash
-    /// reads at `k` must then go through `tail` instead of the ring.
-    #[inline]
-    fn observe_at(
-        &mut self,
-        k: u64,
-        node: NodeId,
-        value: MaxPlus,
-        mut tail: Option<&mut IterState>,
-    ) {
-        let obs = self.node_obs[node.index()];
-        match obs {
-            Obs::None => {}
-            Obs::Exchange {
-                relation,
-                ack_input,
-                output,
-                has_fifo_read,
-            } => {
-                let relation = relation as usize;
-                let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                // Token size of this relation for iteration k.
-                if let SizeRule::Derived { from, model } = self.size_rules[relation] {
-                    let input_size = match from {
-                        None => 0,
-                        Some((rel, delay)) => {
-                            if u64::from(delay) > k {
-                                0
-                            } else if delay == 0 {
-                                match tail.as_deref() {
-                                    Some(it) => it.sizes[rel.index()],
-                                    None => iter_at(&self.ring, self.base_k, k)
-                                        .map_or(0, |it| it.sizes[rel.index()]),
-                                }
-                            } else {
-                                iter_at(&self.ring, self.base_k, k - u64::from(delay))
-                                    .map_or(0, |it| it.sizes[rel.index()])
-                            }
-                        }
-                    };
-                    match tail.as_deref_mut() {
-                        Some(it) => it.sizes[relation] = model.apply(input_size),
-                        None => {
-                            if let Some(it) = iter_at_mut(&mut self.ring, self.base_k, k) {
-                                it.sizes[relation] = model.apply(input_size);
-                            }
-                        }
-                    }
-                }
-                if self.record_observations {
-                    debug_assert_eq!(
-                        self.instant_log[relation].len() as u64,
-                        k,
-                        "exchange instants must compute in iteration order"
-                    );
-                    self.instant_log[relation].push(time);
-                    if !has_fifo_read {
-                        // Rendezvous: read instant equals the write instant.
-                        self.read_log[relation].push(time);
-                    }
-                }
-                if ack_input != u32::MAX {
-                    self.acks[ack_input as usize] = Some((k, time));
-                    if let Some(ev) = self.input_events[ack_input as usize] {
-                        self.pending_notifications.push(Notification {
-                            event: ev,
-                            at: None,
-                        });
-                    }
-                }
-                if output != u32::MAX {
-                    let size = match tail.as_deref() {
-                        Some(it) => it.sizes[relation],
-                        None => iter_at(&self.ring, self.base_k, k)
-                            .map_or(0, |it| it.sizes[relation]),
-                    };
-                    self.outputs_ready[output as usize].push_back((k, time, size));
-                    if let Some(ev) = self.output_events[output as usize] {
-                        // Wake the emission directly at the output instant.
-                        self.pending_notifications.push(Notification {
-                            event: ev,
-                            at: Some(time),
-                        });
-                    }
-                }
-            }
-            Obs::FifoRead { relation } => {
-                if self.record_observations {
-                    let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                    self.read_log[relation as usize].push(time);
-                }
-            }
-            Obs::ExecEnd {
-                function,
-                stmt,
-                resource,
-                dense,
-            } => {
-                if self.record_observations {
-                    let stash = match tail.as_deref() {
-                        Some(it) => it.exec_stash[dense as usize],
-                        None => iter_at(&self.ring, self.base_k, k)
-                            .map(|it| it.exec_stash[dense as usize])
-                            .unwrap_or((MaxPlus::EPSILON, 0)),
-                    };
-                    let (start, ops) = stash;
-                    if start.is_finite() || ops > 0 {
-                        let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                        self.exec_records.push(ExecRecord {
-                            resource,
-                            function,
-                            stmt: stmt as usize,
-                            k,
-                            start: Time::from_ticks(start.finite().unwrap_or(0).max(0) as u64),
-                            end: time,
-                            ops,
-                        });
-                    }
-                }
-            }
-        }
+    /// Observation side effects of a node of iteration `k`, which the
+    /// compiled sweep holds outside the ring (`tail`). Kept out of line:
+    /// inlined, the replay's bulk slowed the sweep loop by 6–9% on Table I
+    /// example 4 and the padded Fig. 5 graphs, where most slots observe
+    /// nothing.
+    #[inline(never)]
+    fn observe_tail(&mut self, k: u64, obs: Obs, value: MaxPlus, tail: &mut IterState) {
+        let mut lane = TailLane {
+            tail,
+            ring: &self.ring,
+            base_k: self.base_k,
+            k,
+        };
+        let notifier = &mut self.notifier;
+        self.log
+            .observe(k, obs, value, &self.size_rules, &mut lane, |w| {
+                notifier.wake(w)
+            });
     }
 
     /// Frees fully computed iterations that can no longer be referenced.
@@ -1840,86 +1678,35 @@ impl Engine {
                 s.reset(&self.remaining_template);
                 s
             }
-            None => {
-                let mut s =
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs);
-                s.remaining.copy_from_slice(&self.remaining_template);
-                s
-            }
+            None => IterState::fresh(&self.remaining_template, self.relation_count, self.n_execs),
         }
     }
 
-    /// Snapshots observable-state lengths so [`Engine::ff_collect`] can diff
-    /// out exactly what the upcoming call emits.
-    fn ff_mark(&mut self) {
-        let m = &mut self.ff_marks;
-        m.instants.clear();
-        m.instants.extend(self.instant_log.iter().map(Vec::len));
-        m.reads.clear();
-        m.reads.extend(self.read_log.iter().map(Vec::len));
-        m.outputs.clear();
-        m.outputs.extend(self.outputs_ready.iter().map(VecDeque::len));
-        m.execs = self.exec_records.len();
-        m.ack = self.acks[0];
-        m.stats = self.stats;
-    }
-
-    /// Diffs the observable state against the marks: the complete emission
-    /// set of the call at iteration `k` (a consumer cannot pop outputs
-    /// mid-call, so queue-length diffs are exact).
-    fn ff_collect(&self, k: u64) -> CallEmissions {
-        let m = &self.ff_marks;
-        let mut e = CallEmissions::default();
-        for (rel, (log, &from)) in self.instant_log.iter().zip(&m.instants).enumerate() {
-            for t in &log[from..] {
-                e.instants.push((rel as u32, t.ticks()));
+    /// Moves every ring state to the free list, advancing `base_k` past
+    /// them.
+    fn release_ring(&mut self) {
+        while let Some(state) = self.ring.pop_front() {
+            self.base_k += 1;
+            if self.free.len() < FREE_LIST_CAP {
+                self.free.push(state);
             }
         }
-        for (rel, (log, &from)) in self.read_log.iter().zip(&m.reads).enumerate() {
-            for t in &log[from..] {
-                e.reads.push((rel as u32, t.ticks()));
-            }
-        }
-        for r in &self.exec_records[m.execs..] {
-            debug_assert!(r.k >= k, "fast-path records belong to k or the look-ahead");
-            e.execs.push(ExecEmission {
-                k_off: r.k - k,
-                resource: r.resource,
-                function: r.function,
-                stmt: r.stmt,
-                start: r.start.ticks(),
-                end: r.end.ticks(),
-                ops: r.ops,
-            });
-        }
-        for (out, (queue, &from)) in self.outputs_ready.iter().zip(&m.outputs).enumerate() {
-            for &(ok, t, s) in queue.iter().skip(from) {
-                debug_assert!(ok >= k);
-                e.outputs.push(OutputEmission {
-                    output: out as u32,
-                    k_off: ok - k,
-                    at: t.ticks(),
-                    size: s,
-                });
-            }
-        }
-        if self.acks[0] != m.ack {
-            if let Some((ak, t)) = self.acks[0] {
-                debug_assert!(ak >= k);
-                e.ack = Some((ak - k, t.ticks()));
-            }
-        }
-        e.nodes = self.stats.nodes_computed - m.stats.nodes_computed;
-        e.arcs = self.stats.arcs_evaluated - m.stats.arcs_evaluated;
-        e.iters = self.stats.iterations_completed - m.stats.iterations_completed;
-        e
     }
 
     /// Feeds a completed fast-path call to the detector; on a confirmed
     /// window, attempts promotion (arc soundness condition) and drops the
     /// ring — the template now carries everything replay needs.
     fn ff_observe(&mut self, pd: &mut PeriodicState, k: u64, at: Time, size: u64, captured: bool) {
-        let emissions = captured.then(|| self.ff_collect(k));
+        let emissions = captured.then(|| {
+            let (now, before) = (&self.stats, &self.ff_stats_mark);
+            let work = EngineStats {
+                nodes_computed: now.nodes_computed - before.nodes_computed,
+                arcs_evaluated: now.arcs_evaluated - before.arcs_evaluated,
+                iterations_completed: now.iterations_completed - before.iterations_completed,
+                ..EngineStats::default()
+            };
+            self.log.collect(k, &work)
+        });
         let it = iter_at(&self.ring, self.base_k, k).expect("iteration just computed");
         let tail = if self.has_prefix {
             debug_assert_eq!(self.base_k + self.ring.len() as u64, k + 2);
@@ -1941,23 +1728,10 @@ impl Engine {
             tail,
             emissions,
         };
-        if pd.observe_fast_call(&obs) == Observed::ReadyToPromote {
-            let arcs = self
-                .tdg
-                .arcs()
-                .iter()
-                .map(|a| (a.src.index(), a.dst.index()));
-            if pd.try_promote(arcs).is_some() {
-                self.ff_debug_oracle_check(pd);
-                // Promoted: no sweep will run until demotion, and demotion
-                // reconstructs its own history; release the ring.
-                while let Some(state) = self.ring.pop_front() {
-                    self.base_k += 1;
-                    if self.free.len() < FREE_LIST_CAP {
-                        self.free.push(state);
-                    }
-                }
-            }
+        if pd.observe_fast_call(&obs, &self.tdg) {
+            // Promoted: no sweep will run until demotion, and demotion
+            // reconstructs its own history; release the ring.
+            self.release_ring();
         }
     }
 
@@ -1999,60 +1773,18 @@ impl Engine {
         let mut scratch = std::mem::take(&mut self.ff_scratch);
         scratch.clear();
         let extrapolated = periodic::extrapolate_emissions(r, d, plan.m, &mut scratch);
-        if let Err(e) = extrapolated {
-            self.ff_scratch = scratch;
-            return Err(e);
+        if extrapolated.is_ok() {
+            // Pass 2: apply — infallible, in the same order the captured
+            // call appended (log order is part of the observable contract).
+            let notifier = &mut self.notifier;
+            let applied = self.log.apply(r, k, &scratch, |w| notifier.wake(w));
+            debug_assert_eq!(applied, scratch.len());
+            self.stats.nodes_computed += r.emissions.nodes;
+            self.stats.arcs_evaluated += r.emissions.arcs;
+            self.stats.iterations_completed += r.emissions.iters;
         }
-        // Pass 2: apply — infallible, in the same order the captured call
-        // appended (log order is part of the observable contract).
-        let mut i = 0;
-        for e in &r.emissions.instants {
-            self.instant_log[e.0 as usize].push(Time::from_ticks(scratch[i]));
-            i += 1;
-        }
-        for e in &r.emissions.reads {
-            self.read_log[e.0 as usize].push(Time::from_ticks(scratch[i]));
-            i += 1;
-        }
-        for e in &r.emissions.execs {
-            let (start, end) = (scratch[i], scratch[i + 1]);
-            i += 2;
-            self.exec_records.push(ExecRecord {
-                resource: e.resource,
-                function: e.function,
-                stmt: e.stmt,
-                k: k + e.k_off,
-                start: Time::from_ticks(start),
-                end: Time::from_ticks(end),
-                ops: e.ops,
-            });
-        }
-        for e in &r.emissions.outputs {
-            let at = Time::from_ticks(scratch[i]);
-            i += 1;
-            self.outputs_ready[e.output as usize].push_back((k + e.k_off, at, e.size));
-            if let Some(ev) = self.output_events[e.output as usize] {
-                self.pending_notifications.push(Notification {
-                    event: ev,
-                    at: Some(at),
-                });
-            }
-        }
-        if let Some((k_off, _)) = r.emissions.ack {
-            let at = Time::from_ticks(scratch[i]);
-            i += 1;
-            self.acks[0] = Some((k + k_off, at));
-            if let Some(ev) = self.input_events[0] {
-                self.pending_notifications
-                    .push(Notification { event: ev, at: None });
-            }
-        }
-        debug_assert_eq!(i, scratch.len());
-        self.stats.nodes_computed += r.emissions.nodes;
-        self.stats.arcs_evaluated += r.emissions.arcs;
-        self.stats.iterations_completed += r.emissions.iters;
         self.ff_scratch = scratch;
-        Ok(())
+        extrapolated
     }
 
     /// Demotion: rebuild the iteration ring — `max_delay` complete history
@@ -2061,73 +1793,29 @@ impl Engine {
     /// never-promoted engine would stand. Two-pass like replay: all shifted
     /// accumulators are computed before any state changes.
     fn ff_reconstruct(&mut self, t: &Template, k_b: u64) -> Result<(), EngineError> {
-        let h = u64::from(self.tdg.max_delay);
-        let start = k_b.saturating_sub(h);
-        debug_assert!(
-            start >= t.k0 + t.p,
-            "the confirmation window spans the history horizon"
-        );
-        let n = self.tdg.node_count();
+        let start = k_b.saturating_sub(u64::from(self.tdg.max_delay));
         let mut scratch = std::mem::take(&mut self.ff_acc_scratch);
         scratch.clear();
-        let mut fail = None;
-        'outer: for j in start..k_b {
-            let (pos, m) = t.locate(j);
-            let r = &t.refs[pos];
-            for node in 0..n {
-                match periodic::shift_acc(r.acc[node], t.d[node], m) {
-                    Ok(v) => scratch.push(v),
-                    Err(e) => {
-                        fail = Some(e);
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        if fail.is_none() && self.has_prefix {
-            // The look-ahead tail for `k_b` is the lookahead the call at
-            // `k_b − 1` left behind, captured with that call's position.
-            let (pos, m) = t.locate(k_b - 1);
-            let tt = t.refs[pos].tail.as_ref().expect("prefix engines capture tails");
-            for node in 0..n {
-                if tt.computed[node] {
-                    match periodic::shift_acc(tt.acc[node], t.d[node], m) {
-                        Ok(v) => scratch.push(v),
-                        Err(e) => {
-                            fail = Some(e);
-                            break;
-                        }
-                    }
-                } else {
-                    scratch.push(0);
-                }
-            }
-        }
-        if let Some(e) = fail {
+        if let Err(e) = periodic::shift_history(t, start, k_b, self.has_prefix, &mut scratch) {
             self.ff_acc_scratch = scratch;
             return Err(e);
         }
-        // Pass 2: rebuild.
-        while let Some(state) = self.ring.pop_front() {
-            if self.free.len() < FREE_LIST_CAP {
-                self.free.push(state);
-            }
-        }
+        // Pass 2: rebuild the node-indexed ring.
+        self.release_ring();
         self.base_k = start;
-        let mut idx = 0;
+        let mut rows = scratch.chunks_exact(self.tdg.node_count());
         for j in start..k_b {
             let (pos, _) = t.locate(j);
-            let r = &t.refs[pos];
             let mut state = self.take_state();
-            for node in 0..n {
-                state.acc[node] = MaxPlus::new(scratch[idx]);
-                idx += 1;
-                state.computed[node] = true;
+            let row = rows.next().expect("one shifted row per iteration");
+            for (acc, &v) in state.acc.iter_mut().zip(row) {
+                *acc = MaxPlus::new(v);
             }
+            state.computed.fill(true);
             state.remaining.fill(0);
-            state.sizes.copy_from_slice(&r.sizes);
-            // Stashes are re-captured by the sweep; history never reads them.
-            state.exec_stash.fill((MaxPlus::EPSILON, 0));
+            state.sizes.copy_from_slice(&t.refs[pos].sizes);
+            // Stashes stay clear: the sweep re-captures them and history
+            // never reads them.
             state.nodes_pending = 0;
             self.ring.push_back(state);
         }
@@ -2135,33 +1823,22 @@ impl Engine {
             let (pos, _) = t.locate(k_b - 1);
             let tt = t.refs[pos].tail.as_ref().expect("prefix engines capture tails");
             let mut state = self.take_state();
-            let mut pending = n;
-            for node in 0..n {
-                let v = scratch[idx];
-                idx += 1;
-                if tt.computed[node] {
-                    state.acc[node] = MaxPlus::new(v);
-                    state.computed[node] = true;
-                    pending -= 1;
+            let row = rows.next().expect("one shifted look-ahead row");
+            for ((acc, &v), &computed) in state.acc.iter_mut().zip(row).zip(&tt.computed) {
+                if computed {
+                    *acc = MaxPlus::new(v);
                 }
             }
+            state.computed.copy_from_slice(&tt.computed);
+            state.nodes_pending = tt.computed.iter().filter(|&&c| !c).count();
             state.sizes.copy_from_slice(&tt.sizes);
-            state.nodes_pending = pending;
             self.ring.push_back(state);
         }
-        debug_assert_eq!(idx, scratch.len());
+        debug_assert!(rows.next().is_none());
         self.work.clear();
         self.prune_counter = 0;
         self.ff_acc_scratch = scratch;
         Ok(())
-    }
-
-    /// Cross-checks a fresh promotion against the static (max,+) oracle in
-    /// debug builds — see [`periodic::debug_check_against_oracle`].
-    fn ff_debug_oracle_check(&self, pd: &PeriodicState) {
-        if let Some(t) = pd.template() {
-            periodic::debug_check_against_oracle(&self.tdg, t);
-        }
     }
 }
 

@@ -70,6 +70,7 @@ mod engine;
 pub mod equivalent;
 mod error;
 pub mod kernel;
+mod lane;
 pub mod partial;
 pub mod periodic;
 pub mod simplify;
@@ -84,7 +85,7 @@ pub use batch::{BatchUnsupported, BatchedEngine, KernelDispatchStats};
 pub use compile::{CompiledTdg, EvalBackend};
 pub use delta::{DeltaCache, DeltaStats, DeltaUnsupported};
 pub use derive::{derive_tdg, derive_tdg_with, DeriveOptions, DerivedTdg, SizeRule, SizeRules};
-pub use engine::{AllocationFootprint, Engine, EngineStats, Notification};
+pub use engine::{AllocationFootprint, Engine, EngineStats, Notification, MAX_INSTANT_TICKS};
 pub use equivalent::{equivalent_simulation, EquivalentModelBuilder, EquivalentSimulation};
 pub use error::{DeriveError, EngineError, EquivalentError};
 pub use partial::{hybrid_simulation, partition, HybridReport, HybridSimulation, Partition, PartitionError};

@@ -60,7 +60,7 @@ use std::collections::VecDeque;
 use evolve_des::{Duration, Time};
 use evolve_maxplus::{max_cycle_mean, CycleMean, MaxPlus, Vector};
 use evolve_model::{FunctionId, ResourceId};
-use evolve_obs::FfCounters;
+use evolve_obs::{EngineEvent, FfCounters, Observer};
 
 use crate::error::EngineError;
 use crate::tdg::Tdg;
@@ -138,6 +138,29 @@ impl FastForwardStats {
             self.detected = other.detected;
         }
     }
+
+    /// Reports to `ob` the promotion and demotion of `lane` since `before`,
+    /// during the call at iteration `k`.
+    pub(crate) fn report_since(
+        &self,
+        before: &FastForwardStats,
+        ob: &mut dyn Observer,
+        k: u64,
+        lane: u32,
+    ) {
+        if self.promotions > before.promotions {
+            let d = self.detected.expect("promotion implies a regime");
+            ob.on_event(EngineEvent::FfPromoted {
+                k,
+                lane,
+                growth: d.growth,
+                period: d.period,
+            });
+        }
+        if self.demotions > before.demotions {
+            ob.on_event(EngineEvent::FfDemoted { k, lane });
+        }
+    }
 }
 
 impl std::ops::Deref for FastForwardStats {
@@ -194,6 +217,19 @@ pub fn predict_periodic_regime(
         cyclicity: t.cyclicity,
         transient: t.length,
     })
+}
+
+/// The distinct `k`-periods of the graph's execution loads, or `None` when
+/// some load is aperiodic in `k` (which rules fast-forward out).
+pub(crate) fn load_periods(tdg: &Tdg) -> Option<Vec<u64>> {
+    let mut periods = Vec::new();
+    for term in tdg.arcs().iter().flat_map(|arc| &arc.weight.execs) {
+        let q = term.load.k_period()?;
+        if !periods.contains(&q) {
+            periods.push(q);
+        }
+    }
+    Some(periods)
 }
 
 /// Extrapolates `base + periods × growth` with checked arithmetic,
@@ -258,12 +294,49 @@ pub(crate) fn extrapolate_emissions(
     Ok(())
 }
 
+/// Pass 1 of demotion: appends to `out` the node-indexed accumulators of
+/// history iterations `start..k_b`, shifted from the template (`refs[pos] +
+/// m × D`, checked), then — with `tail` — those of the look-ahead tail for
+/// `k_b`, which is the look-ahead the call at `k_b − 1` left behind (nodes
+/// the prefix did not compute read 0). Touches no engine state, so a failed
+/// call leaves nothing to undo; each engine writes `out` into its own
+/// layout afterwards.
+pub(crate) fn shift_history(
+    t: &Template,
+    start: u64,
+    k_b: u64,
+    tail: bool,
+    out: &mut Vec<i64>,
+) -> Result<(), EngineError> {
+    debug_assert!(
+        start >= t.k0 + t.p,
+        "the confirmation window spans the history horizon"
+    );
+    for j in start..k_b {
+        let (pos, m) = t.locate(j);
+        for (&acc, &d) in t.refs[pos].acc.iter().zip(&t.d) {
+            out.push(shift_acc(acc, d, m)?);
+        }
+    }
+    if tail {
+        let (pos, m) = t.locate(k_b - 1);
+        let tt = t.refs[pos]
+            .tail
+            .as_ref()
+            .expect("prefix engines capture tails");
+        for ((&computed, &acc), &d) in tt.computed.iter().zip(&tt.acc).zip(&t.d) {
+            out.push(if computed { shift_acc(acc, d, m)? } else { 0 });
+        }
+    }
+    Ok(())
+}
+
 /// Debug-only cross-check of a fresh promotion against the static (max,+)
 /// oracle: with constant, size-independent loads the observed steady-state
 /// growth of the fastest node can never undercut the spectral lower bound λ
 /// (`x(k) ≽ A ⊗ x(k−1)` regardless of inputs).
 #[cfg(debug_assertions)]
-pub(crate) fn debug_check_against_oracle(tdg: &Tdg, t: &Template) {
+fn debug_check_against_oracle(tdg: &Tdg, t: &Template) {
     if tdg.node_count() > 160 {
         return;
     }
@@ -288,7 +361,7 @@ pub(crate) fn debug_check_against_oracle(tdg: &Tdg, t: &Template) {
 }
 
 #[cfg(not(debug_assertions))]
-pub(crate) fn debug_check_against_oracle(_tdg: &Tdg, _t: &Template) {}
+fn debug_check_against_oracle(_tdg: &Tdg, _t: &Template) {}
 
 /// One execution record emitted by a call, relative to the call iteration
 /// (`k_off`: the record's iteration minus the offered `k` — the lookahead
@@ -442,15 +515,6 @@ struct Confirm {
     verified: u64,
 }
 
-/// Outcome of feeding one observed call to the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Observed {
-    /// Keep evaluating normally.
-    Continue,
-    /// The confirmation window closed: the engine may attempt promotion.
-    ReadyToPromote,
-}
-
 /// Online periodic-regime detector and template store of one engine (or one
 /// batch lane).
 #[derive(Debug)]
@@ -554,10 +618,12 @@ impl PeriodicState {
         }
     }
 
-    /// Feeds one observed fast-path call while idle or confirming.
-    pub(crate) fn observe_fast_call(&mut self, obs: &CallObservation<'_>) -> Observed {
+    /// Feeds one observed fast-path call of `tdg`'s engine while idle or
+    /// confirming. When the call closes the confirmation window, attempts
+    /// promotion; returns whether it promoted.
+    pub(crate) fn observe_fast_call(&mut self, obs: &CallObservation<'_>, tdg: &Tdg) -> bool {
         match &mut self.mode {
-            Mode::Promoted(_) => Observed::Continue,
+            Mode::Promoted(_) => false,
             Mode::Idle => {
                 self.offers.push_back((obs.at, obs.size));
                 let cap = (2 * self.cfg.period_max + 1) as usize;
@@ -580,65 +646,60 @@ impl PeriodicState {
                         self.offers.clear();
                     }
                 }
-                Observed::Continue
+                false
             }
             Mode::Confirming(c) => {
                 let max_delay = self.max_delay;
                 let confirm_periods = self.cfg.confirm_periods;
                 match Self::feed_confirm(c, obs, max_delay, confirm_periods) {
-                    Some(ready) => {
-                        if ready {
-                            Observed::ReadyToPromote
-                        } else {
-                            Observed::Continue
-                        }
-                    }
+                    Some(true) => self.try_promote(tdg),
+                    Some(false) => false,
                     None => {
                         self.abandon();
-                        Observed::Continue
+                        false
                     }
                 }
             }
         }
     }
 
-    /// Attempts the promotion the last [`Observed::ReadyToPromote`]
-    /// announced: checks the arc soundness condition `D_src ≤ D_dst` and
-    /// flips to replay mode. Returns the detected regime on success;
-    /// abandons detection on failure.
-    pub(crate) fn try_promote(
-        &mut self,
-        arcs: impl Iterator<Item = (usize, usize)>,
-    ) -> Option<DetectedPeriod> {
+    /// Attempts the promotion a closed confirmation window announced:
+    /// checks the arc soundness condition `D_src ≤ D_dst` over `tdg`'s arcs
+    /// and flips to replay mode, cross-checked against the static oracle in
+    /// debug builds. Abandons detection on failure.
+    fn try_promote(&mut self, tdg: &Tdg) -> bool {
         let Mode::Confirming(c) = &self.mode else {
             unreachable!("try_promote without a confirmation window")
         };
         debug_assert!(c.d_known && c.refs.len() == c.p as usize);
-        for (src, dst) in arcs {
-            if c.d[src] > c.d[dst] {
-                self.abandon();
-                return None;
-            }
+        if tdg
+            .arcs()
+            .iter()
+            .any(|a| c.d[a.src.index()] > c.d[a.dst.index()])
+        {
+            self.abandon();
+            return false;
         }
         let Mode::Confirming(c) = std::mem::replace(&mut self.mode, Mode::Idle) else {
             unreachable!("checked above")
         };
-        let detected = DetectedPeriod {
+        self.stats.promotions += 1;
+        self.stats.detected = Some(DetectedPeriod {
             growth: c.d.iter().copied().max().unwrap_or(0),
             period: c.p,
-        };
-        self.mode = Mode::Promoted(Box::new(Template {
+        });
+        let template = Template {
             p: c.p,
             delta_in: c.delta_in,
             k0: c.k0,
             refs: c.refs,
             d: c.d,
-        }));
-        self.stats.promotions += 1;
-        self.stats.detected = Some(detected);
+        };
+        debug_check_against_oracle(tdg, &template);
+        self.mode = Mode::Promoted(Box::new(template));
         self.offers.clear();
         self.since_scan = 0;
-        Some(detected)
+        true
     }
 
     /// Smallest period `p` such that the trailing `2p` offers repeat with a

@@ -3,12 +3,13 @@
 //! model variants on the receiver architecture.
 
 use evolve_core::validate::{assert_equivalent, compare_models};
-use evolve_core::{derive_tdg, simplify};
+use evolve_core::{derive_tdg, simplify, BatchedEngine, DerivedTdg, Engine, EvalBackend};
+use evolve_des::Time;
 use evolve_lte::{
     frame_stimulus, receiver, symbol_stimulus, Bandwidth, Modulation, Scenario, SYMBOLS_PER_FRAME,
     SYMBOL_PERIOD,
 };
-use evolve_model::{elaborate, Environment, ResourceTrace, UsageSeries};
+use evolve_model::{elaborate, Arrival, Environment, ExecRecord, ResourceTrace, UsageSeries};
 
 #[test]
 fn receiver_keeps_up_with_the_symbol_rate() {
@@ -235,4 +236,144 @@ fn carrier_aggregation_shares_the_dsp() {
     let trace = ResourceTrace::from_records(&report.exec_records, rx.dsp);
     let util = trace.utilization(report.end_time);
     assert!(util > 0.2 && util < 1.0, "utilization {util}");
+}
+
+/// Everything one lane of a receiver run exposes.
+#[derive(Debug, PartialEq)]
+struct LaneRun {
+    outputs: Vec<(u64, Time, u64)>,
+    acks: Vec<Time>,
+    instants: Vec<Vec<Time>>,
+    reads: Vec<Vec<Time>>,
+    records: Vec<ExecRecord>,
+}
+
+impl LaneRun {
+    /// The same run with its execution records in a canonical order.
+    fn canonical(mut self) -> LaneRun {
+        self.records
+            .sort_by_key(|r| (r.k, r.start, r.end, r.resource, r.function, r.stmt, r.ops));
+        self
+    }
+}
+
+/// Offers land at `max(arrival, previous ack)`, as a rendezvous source
+/// delivers them.
+fn offer_at(arrival: &Arrival, prev_ack: Option<Time>) -> Time {
+    prev_ack.map_or(arrival.at, |ack| ack.max(arrival.at))
+}
+
+fn drive_scalar(mut engine: Engine, trace: &[Arrival], relations: usize) -> LaneRun {
+    let (mut outputs, mut acks) = (Vec::new(), Vec::<Time>::new());
+    for (k, arrival) in trace.iter().enumerate() {
+        let k = k as u64;
+        engine.set_input(0, k, offer_at(arrival, acks.last().copied()), arrival.size);
+        outputs.extend(std::iter::from_fn(|| engine.next_output(0)));
+        acks.push(engine.ack_instant(0, k).expect("single-input acks resolve"));
+    }
+    LaneRun {
+        outputs,
+        acks,
+        instants: (0..relations)
+            .map(|r| engine.instants(r).to_vec())
+            .collect(),
+        reads: (0..relations)
+            .map(|r| engine.read_instants(r).to_vec())
+            .collect(),
+        records: engine.exec_records().to_vec(),
+    }
+}
+
+fn drive_batched(
+    mut batch: BatchedEngine,
+    traces: &[Vec<Arrival>],
+    relations: usize,
+) -> Vec<LaneRun> {
+    let width = traces.len();
+    let (mut outputs, mut acks) = (vec![Vec::new(); width], vec![Vec::<Time>::new(); width]);
+    for k in 0..traces[0].len() {
+        let offers: Vec<Option<(Time, u64)>> = traces
+            .iter()
+            .zip(&acks)
+            .map(|(trace, acks)| {
+                let at = offer_at(&trace[k], acks.last().copied());
+                Some((at, trace[k].size))
+            })
+            .collect();
+        batch.set_input_batch(k as u64, &offers);
+        for l in 0..width {
+            outputs[l].extend(std::iter::from_fn(|| batch.next_output(l, 0)));
+            acks[l].push(
+                batch
+                    .ack_instant(l, k as u64)
+                    .expect("lockstep acks resolve"),
+            );
+        }
+    }
+    outputs
+        .into_iter()
+        .zip(acks)
+        .enumerate()
+        .map(|(l, (outputs, acks))| LaneRun {
+            outputs,
+            acks,
+            instants: (0..relations)
+                .map(|r| batch.instants(l, r).to_vec())
+                .collect(),
+            reads: (0..relations)
+                .map(|r| batch.read_instants(l, r).to_vec())
+                .collect(),
+            records: batch.exec_records(l).to_vec(),
+        })
+        .collect()
+}
+
+/// The receiver's token sizes flow through `SizeRule::Derived` chains,
+/// which the batched engine evaluates in its per-lane observation path.
+/// Full and simplified receivers, observation on, at widths 1 and 4: every
+/// lane must match a scalar compiled engine driven with that lane's trace
+/// alone bitwise, and the worklist reference with execution records
+/// compared as a multiset.
+#[test]
+fn batched_receiver_lanes_match_the_scalar_engines() {
+    let rx = receiver(Scenario::default()).unwrap();
+    let relations = rx.arch.app().relations().len();
+    for simplified in [false, true] {
+        let derived = || -> DerivedTdg {
+            let mut derived = derive_tdg(&rx.arch).unwrap();
+            if simplified {
+                derived.map_tdg(|tdg| simplify::simplify(tdg, &simplify::Options::default()));
+            }
+            derived
+        };
+        for width in [1usize, 4] {
+            let traces: Vec<Vec<Arrival>> = (0..width)
+                .map(|l| {
+                    symbol_stimulus(rx.scenario, 48, 31 + l as u64)
+                        .arrivals()
+                        .to_vec()
+                })
+                .collect();
+            let batch = BatchedEngine::try_new(derived(), relations, true, width)
+                .expect("the receiver is batchable");
+            let lanes = drive_batched(batch, &traces, relations);
+            for (l, (lane, trace)) in lanes.into_iter().zip(&traces).enumerate() {
+                let scalar = |backend| {
+                    let engine = Engine::with_backend(derived(), relations, true, backend);
+                    drive_scalar(engine, trace, relations)
+                };
+                let compiled = scalar(EvalBackend::Compiled);
+                assert!(!compiled.records.is_empty() && !compiled.outputs.is_empty());
+                assert_eq!(
+                    lane, compiled,
+                    "simplified={simplified} width={width} lane={l}"
+                );
+                assert_eq!(
+                    lane.canonical(),
+                    scalar(EvalBackend::Worklist).canonical(),
+                    "simplified={simplified} width={width} lane={l} vs the worklist"
+                );
+            }
+        }
+    }
 }

@@ -18,9 +18,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evolve_core::{kernel, EvalBackend, FastForward, PeriodicConfig};
+use evolve_core::{kernel, EvalBackend, FastForward, PeriodicConfig, MAX_INSTANT_TICKS};
 use evolve_explore::cache::EngineOptions;
 use evolve_explore::{ModelKind, ModelSpec};
+use evolve_model::didactic;
 use evolve_obs::{prometheus, FlightRecorder, MetricsSnapshot, ServeGauges};
 
 use crate::net::Conn;
@@ -595,19 +596,67 @@ fn validate_spec(spec: &ModelSpec, cfg: &ServeConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Admission validation of the trace: a generated trace materialises
-/// `tokens` arrivals, so the count is bounded before any allocation.
-/// (Explicit offers are already bounded by the frame cap.)
-fn validate_trace(trace: &TracePayload, cfg: &ServeConfig) -> Result<(), String> {
-    if let TracePayload::Generated(spec) = trace {
-        if spec.tokens > cfg.max_trace_tokens {
-            return Err(format!(
-                "generated trace tokens {} exceed cap {}",
-                spec.tokens, cfg.max_trace_tokens
-            ));
+/// Ticks one token can spend in one stage of `kind` at token size `size`
+/// (every built-in resource runs at least one operation per tick): the
+/// summed `base + per_unit × size` loads of the stage's executions, or
+/// `None` on overflow.
+fn stage_ticks(kind: &ModelKind, size: u64) -> Option<u64> {
+    let p = didactic::Params::default();
+    let loads = match *kind {
+        ModelKind::Didactic { .. } => vec![p.ti1, p.tj1, p.ti2, p.ti3, p.tj3, p.ti4],
+        ModelKind::Pipeline { base, per_unit, .. }
+        | ModelKind::WidePipeline { base, per_unit, .. } => vec![(base, per_unit)],
+    };
+    loads.into_iter().try_fold(0u64, |sum, (base, per_unit)| {
+        sum.checked_add(base.checked_add(per_unit.checked_mul(size)?)?)
+    })
+}
+
+/// Admission validation of the trace against its model: a generated trace
+/// materialises `tokens` arrivals, so the count is bounded before any
+/// allocation (explicit offers are already bounded by the frame cap); and
+/// every instant of the run — at most the last offer plus every load of
+/// every token (and the look-ahead) in every stage — must stay within
+/// [`MAX_INSTANT_TICKS`]: past it the shard would panic (`MaxPlus::new`
+/// reserves `i64::MIN` for ε) or saturate silently.
+fn validate_trace(trace: &TracePayload, spec: &ModelSpec, cfg: &ServeConfig) -> Result<(), String> {
+    let (tokens, last_offer, max_size) = match trace {
+        TracePayload::Generated(t) => {
+            if t.tokens > cfg.max_trace_tokens {
+                return Err(format!(
+                    "generated trace tokens {} exceed cap {}",
+                    t.tokens, cfg.max_trace_tokens
+                ));
+            }
+            // Gaps are drawn from [mean/2, 3·mean/2].
+            let last = t
+                .mean_period
+                .checked_mul(3)
+                .and_then(|gap| (gap / 2).checked_mul(t.tokens.saturating_sub(1)));
+            (t.tokens, last, t.min_size.max(t.max_size))
         }
+        TracePayload::Offers(offers) => {
+            let last = offers.iter().map(|&(at, _)| at).max().unwrap_or(0);
+            let size = offers.iter().map(|&(_, size)| size).max().unwrap_or(0);
+            (offers.len() as u64, Some(last), size)
+        }
+    };
+    let stages = match spec.kind {
+        ModelKind::Didactic { stages }
+        | ModelKind::Pipeline { stages, .. }
+        | ModelKind::WidePipeline { stages, .. } => stages as u64,
+    };
+    let span = stage_ticks(&spec.kind, max_size)
+        .and_then(|per_stage| per_stage.checked_mul(stages))
+        .and_then(|per_token| per_token.checked_mul(tokens.checked_add(1)?))
+        .and_then(|loads| loads.checked_add(last_offer?));
+    match span {
+        Some(span) if span <= MAX_INSTANT_TICKS => Ok(()),
+        _ => Err(format!(
+            "trace offers and model loads exceed the engine's time range of \
+             {MAX_INSTANT_TICKS} ticks"
+        )),
     }
-    Ok(())
 }
 
 /// Short family tag of an inline spec, used as the flight-recorder span
@@ -721,7 +770,7 @@ fn handle_payload(
                 }
             };
             if let Err(message) = validate_spec(&spec, &ctx.cfg)
-                .and_then(|()| validate_trace(&req.trace, &ctx.cfg))
+                .and_then(|()| validate_trace(&req.trace, &spec, &ctx.cfg))
             {
                 respond(writer, &Response::Error { id: req.id, message }, ctx);
                 return true;

@@ -78,6 +78,64 @@ fn zero_stage_spec_rejected_and_shard_survives() {
     server.shutdown_and_join();
 }
 
+/// Calls over a raw connection with a read timeout, so a request whose
+/// shard died fails the test instead of hanging it.
+fn call_or_time_out(conn: &mut TcpStream, req: &Request) -> Response {
+    let max = 8 * 1024 * 1024;
+    evolve_serve::protocol::write_frame(conn, &encode_request(req), max).unwrap();
+    let frame = evolve_serve::protocol::read_frame(conn, max)
+        .expect("the shard answers within the read timeout")
+        .expect("the server keeps the connection open");
+    evolve_serve::decode_response(&frame).unwrap()
+}
+
+/// Loads and offers past the engine's (max,+) time range — a pipeline
+/// base of `u64::MAX / 2`, an offer instant of `2^63` — must not reach a
+/// shard (where `MaxPlus::new` would panic and kill the shard thread):
+/// each gets a typed error, and the same single shard still answers a
+/// valid evaluation afterwards.
+#[test]
+fn out_of_range_loads_and_offers_rejected_and_shard_survives() {
+    let (server, addr) = start_single_shard();
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let huge_load = ModelSpec {
+        kind: ModelKind::Pipeline {
+            stages: 2,
+            base: u64::MAX / 2,
+            per_unit: 1,
+        },
+        padding: 0,
+        backend: EvalBackend::Compiled,
+    };
+    let offers = TracePayload::Offers(vec![(0, 1), (10, 1)]);
+    let req = eval(7, ModelRef::Inline(huge_load), offers);
+    let resp = call_or_time_out(&mut conn, &req);
+    assert!(
+        matches!(&resp, Response::Error { id: 7, message } if message.contains("time range")),
+        "expected time-range error, got {resp:?}"
+    );
+
+    let late_offer = TracePayload::Offers(vec![(0, 1), (1 << 63, 1)]);
+    let req = eval(8, ModelRef::Inline(didactic(2, 0)), late_offer);
+    let resp = call_or_time_out(&mut conn, &req);
+    assert!(
+        matches!(&resp, Response::Error { id: 8, message } if message.contains("time range")),
+        "expected time-range error, got {resp:?}"
+    );
+
+    // The shard that would have died still serves this.
+    let req = eval(9, ModelRef::Inline(didactic(2, 0)), generated(4));
+    let resp = call_or_time_out(&mut conn, &req);
+    assert!(
+        matches!(resp, Response::EvalOk(ref ok) if ok.id == 9),
+        "expected EvalOk after rejection, got {resp:?}"
+    );
+    server.shutdown_and_join();
+}
+
 /// A generated trace claiming `u64::MAX` tokens is refused before any
 /// arrivals are materialised — a ~60-byte frame must not be able to
 /// allocate without bound.
