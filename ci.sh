@@ -31,12 +31,12 @@ cargo test -q -p evolve-core --test periodic_conformance --offline
 # regression is named in the CI log).
 cargo test -q -p evolve-core --test delta_conformance --offline
 
-# Observer conformance: telemetry attachment must be bitwise invisible
-# across worklist/compiled/compiled+replay/batched paths, and streaming
-# usage plus exported Perfetto intervals must match ResourceTrace exactly
-# on promoted scenarios (also part of the workspace run above; kept
-# explicit so a telemetry regression is named in the CI log).
-cargo test -q -p evolve-core --test observer_conformance --offline
+# Telemetry conformance: sink usage and exported Perfetto intervals,
+# built from a drive's execution records, must match ResourceTrace exactly
+# on promoted scenarios, and the drive's counters must match the engine's
+# (also part of the workspace run above; kept explicit so a telemetry
+# regression is named in the CI log).
+cargo test -q -p evolve-core --test telemetry_conformance --offline
 
 # Bench smoke: the compiled backend must beat the worklist reference, the
 # batched engine must beat one-lane evaluation, periodic fast-forward
@@ -45,9 +45,8 @@ cargo test -q -p evolve-core --test observer_conformance --offline
 # (bounded iterations; asserts the ratios > 1 and checksum conformance).
 # The quick run also re-evaluates the default 256-scenario sweep grid
 # with delta chaining on and off and asserts checksum-identical outputs.
-# Also the disabled-observer overhead gate: the compiled hot path — which
-# carries the (detached) observer hooks — must keep its compiled/worklist
-# cost ratio within EVOLVE_OVERHEAD_TOLERANCE (default 10%) of the
+# Also the compiled-path overhead gate: the compiled hot path must keep
+# its compiled/worklist cost ratio within EVOLVE_OVERHEAD_TOLERANCE (default 10%) of the
 # committed results/bench_engine.json baseline's ratio, the width-8
 # batching gain must stay within EVOLVE_BATCH_TOLERANCE (default 10%) of
 # the committed grid's gain (ratios measured within one run, so uniform

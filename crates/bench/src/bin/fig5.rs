@@ -28,13 +28,13 @@
 //! fast-forward > sweep, delta > full, that a delta-chained sweep over the
 //! default 256-scenario grid is bitwise identical to the full compiled
 //! path, that a width-8 batch actually dispatches to the lane-chunked
-//! fold kernels, that the detached-observer compiled/worklist cost ratio
+//! fold kernels, that the compiled/worklist cost ratio
 //! stays within `EVOLVE_OVERHEAD_TOLERANCE` — default 10% — of the
 //! committed `results/bench_engine.json` baseline's ratio, and that the
 //! width-8 batching gain stays within `EVOLVE_BATCH_TOLERANCE` — default
 //! 10% — of the committed grid's gain), writing to
 //! `results/bench_engine_smoke.json` so the committed full-grid artifact
-//! is not clobbered. `--metrics PATH` writes a streaming-telemetry
+//! is not clobbered. `--metrics PATH` writes a telemetry
 //! snapshot (Prometheus text, or JSON for `.json` paths); `--trace PATH`
 //! writes a Chrome trace-event file loadable in Perfetto.
 
@@ -269,17 +269,16 @@ fn baseline_backend_ns(report: &str) -> Option<(f64, f64)> {
     ))
 }
 
-/// The disabled-observer overhead gate: the quick-mode compiled-to-worklist
+/// The compiled-path overhead gate: the quick-mode compiled-to-worklist
 /// cost ratio at 1000 nodes must stay within `EVOLVE_OVERHEAD_TOLERANCE`
-/// (default 10%) of the committed baseline's ratio. The engines in this run
-/// carry the observer hooks but no attached observer, so a regression here
-/// means the detached hot path got slower *relative to the worklist
-/// reference measured seconds earlier in the same process* — comparing
-/// ratios rather than absolute ns/it cancels the uniform wall-clock drift
-/// (thermal throttling, host frequency scaling) that makes absolute
-/// nanosecond gates unenforceable on shared boxes, while still catching the
-/// failure mode this gate exists for: observer hooks leaking cost into the
-/// compiled sweep, which does not slow the worklist.
+/// (default 10%) of the committed baseline's ratio. A regression here means
+/// the compiled hot path got slower *relative to the worklist reference
+/// measured seconds earlier in the same process* — comparing ratios rather
+/// than absolute ns/it cancels the uniform wall-clock drift (thermal
+/// throttling, host frequency scaling) that makes absolute nanosecond gates
+/// unenforceable on shared boxes, while still catching the failure mode
+/// this gate exists for: per-call cost leaking into the compiled sweep,
+/// which does not slow the worklist.
 fn overhead_gate(p: &BackendPoint) {
     let tolerance: f64 = std::env::var("EVOLVE_OVERHEAD_TOLERANCE")
         .ok()
@@ -298,7 +297,7 @@ fn overhead_gate(p: &BackendPoint) {
     let regression = measured_ratio / baseline_ratio - 1.0;
     assert!(
         regression < tolerance,
-        "detached-observer hot path regressed {:.2}% over the recorded baseline \
+        "compiled hot path regressed {:.2}% over the recorded baseline \
          (compiled/worklist {measured_ratio:.3} vs {baseline_ratio:.3} at 1000 nodes, \
          tolerance {:.0}%)",
         regression * 100.0,

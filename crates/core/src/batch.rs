@@ -544,11 +544,6 @@ pub struct BatchedEngine {
     ff_scratch: Vec<u64>,
     /// Reusable two-pass extrapolation scratch (reconstructed accumulators).
     ff_acc_scratch: Vec<i64>,
-    /// Attached telemetry observer; `None` (the default) reduces the whole
-    /// telemetry layer to one branch per lockstep call.
-    observer: Option<Box<dyn evolve_obs::Observer>>,
-    /// Per-lane record-log marks taken around an observed lockstep call.
-    obs_rec_marks: Vec<usize>,
 }
 
 impl std::fmt::Debug for BatchedEngine {
@@ -743,34 +738,8 @@ impl BatchedEngine {
             ff_tail_sizes: Vec::new(),
             ff_scratch: Vec::new(),
             ff_acc_scratch: Vec::new(),
-            observer: None,
-            obs_rec_marks: Vec::new(),
             tdg,
         })
-    }
-
-    /// Attaches a telemetry observer. Emits one
-    /// [`Attached`](evolve_obs::EngineEvent::Attached) event immediately,
-    /// then lifecycle events per lockstep call, with execution records
-    /// streamed per lane — including records synthesised by fast-forward
-    /// template replay.
-    pub fn attach_observer(&mut self, mut observer: Box<dyn evolve_obs::Observer>) {
-        observer.on_event(evolve_obs::EngineEvent::Attached {
-            backend: evolve_obs::BackendKind::Batched,
-            nodes: self.tdg.node_count() as u64,
-            ff_eligible: self.fast_forward_eligible(),
-        });
-        self.observer = Some(observer);
-    }
-
-    /// Detaches and returns the observer, if one was attached.
-    pub fn detach_observer(&mut self) -> Option<Box<dyn evolve_obs::Observer>> {
-        self.observer.take()
-    }
-
-    /// Whether a telemetry observer is currently attached.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
     }
 
     /// The underlying graph.
@@ -959,11 +928,6 @@ impl BatchedEngine {
                 self.ff_lanes = (0..lanes).map(|_| self.new_detector()).collect();
             }
         }
-        // The observer stays attached across scenarios; Reset marks the
-        // time-axis boundary so streaming accumulators seal their frontier.
-        if let Some(ob) = &mut self.observer {
-            ob.on_event(evolve_obs::EngineEvent::Reset);
-        }
     }
 
     /// A snapshot of the engine's allocation footprint; constant across
@@ -1015,51 +979,6 @@ impl BatchedEngine {
     ///
     /// As [`BatchedEngine::set_input_batch`], except for overflow.
     pub fn try_set_input_batch(
-        &mut self,
-        k: u64,
-        offers: &[Option<(Time, u64)>],
-    ) -> Result<(), EngineError> {
-        // Telemetry wrapper: diff the per-lane record logs and fast-forward
-        // counters around the real lockstep call so the sweep below stays
-        // byte-identical whether or not an observer is attached.
-        let Some(mut ob) = self.observer.take() else {
-            return self.try_set_input_batch_impl(k, offers);
-        };
-        self.obs_rec_marks.clear();
-        self.obs_rec_marks
-            .extend(self.logs.iter().map(|log| log.records.len()));
-        let ff_before: Vec<FastForwardStats> = (0..self.ff_lanes.len())
-            .map(|l| self.lane_fast_forward_stats(l))
-            .collect();
-        let total_ff_before = self.fast_forward_stats();
-        let result = self.try_set_input_batch_impl(k, offers);
-        match &result {
-            Ok(()) => {
-                let total_ff_after = self.fast_forward_stats();
-                ob.on_event(evolve_obs::EngineEvent::BatchSweep {
-                    k,
-                    lanes_offering: offers.iter().filter(|o| o.is_some()).count() as u32,
-                    replayed: total_ff_after.fast_forwarded_iterations
-                        > total_ff_before.fast_forwarded_iterations,
-                });
-                for (l, before) in ff_before.iter().enumerate() {
-                    let after = self.lane_fast_forward_stats(l);
-                    after.report_since(before, ob.as_mut(), k, l as u32);
-                }
-                for (l, mark) in self.obs_rec_marks.iter().enumerate() {
-                    let records = &self.logs[l].records;
-                    if records.len() > *mark {
-                        ob.on_records(l as u32, &records[*mark..]);
-                    }
-                }
-            }
-            Err(_) => ob.on_event(evolve_obs::EngineEvent::Overflow { k }),
-        }
-        self.observer = Some(ob);
-        result
-    }
-
-    fn try_set_input_batch_impl(
         &mut self,
         k: u64,
         offers: &[Option<(Time, u64)>],

@@ -60,7 +60,7 @@ use std::collections::VecDeque;
 use evolve_des::{Duration, Time};
 use evolve_maxplus::{max_cycle_mean, CycleMean, MaxPlus, Vector};
 use evolve_model::{FunctionId, ResourceId};
-use evolve_obs::{EngineEvent, FfCounters, Observer};
+use evolve_obs::FfCounters;
 
 use crate::error::EngineError;
 use crate::tdg::Tdg;
@@ -136,29 +136,6 @@ impl FastForwardStats {
         self.counters.merge(&other.counters);
         if self.detected.is_none() {
             self.detected = other.detected;
-        }
-    }
-
-    /// Reports to `ob` the promotion and demotion of `lane` since `before`,
-    /// during the call at iteration `k`.
-    pub(crate) fn report_since(
-        &self,
-        before: &FastForwardStats,
-        ob: &mut dyn Observer,
-        k: u64,
-        lane: u32,
-    ) {
-        if self.promotions > before.promotions {
-            let d = self.detected.expect("promotion implies a regime");
-            ob.on_event(EngineEvent::FfPromoted {
-                k,
-                lane,
-                growth: d.growth,
-                period: d.period,
-            });
-        }
-        if self.demotions > before.demotions {
-            ob.on_event(EngineEvent::FfDemoted { k, lane });
         }
     }
 }

@@ -16,11 +16,11 @@
 //! steady-state fast-forward, for A/B timing runs), `--no-delta` (disable
 //! delta chaining of sibling scenarios, for A/B timing runs), `--compare`
 //! (also run the conventional DES model per scenario), `--out PATH` (report path,
-//! default `results/sweep.json`), `--metrics PATH` (enable streaming
+//! default `results/sweep.json`), `--metrics PATH` (enable per-resource
 //! telemetry and write a metrics snapshot — Prometheus text exposition, or
 //! JSON when the path ends in `.json`), `--trace PATH` (re-run the first
-//! grid scenario under a trace collector and write a Chrome trace-event
-//! file loadable in Perfetto).
+//! grid scenario, build a trace collector from its records and write a
+//! Chrome trace-event file loadable in Perfetto).
 
 use std::path::PathBuf;
 
@@ -240,9 +240,9 @@ fn main() {
     }
     if let Some(path) = &options.trace {
         // Re-run the first grid scenario (a saturating, fixed-size trace the
-        // fast-forward detector promotes) under a trace collector, and write
-        // the observation-time resource activity plus host-time engine spans
-        // as a Chrome trace-event file.
+        // fast-forward detector promotes) and write its observation-time
+        // resource activity plus the host-time drive span as a Chrome
+        // trace-event file.
         let (result, collector) = trace_scenario(
             &scenarios[0],
             &SweepConfig {

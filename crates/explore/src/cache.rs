@@ -30,7 +30,7 @@ use evolve_core::{
     FastForward, FastForwardStats, PeriodicConfig,
 };
 use evolve_model::{Architecture, Arrival, ExecRecord, RelationId};
-use evolve_obs::{downcast, TelemetrySink};
+use evolve_obs::{EventCounters, TelemetrySink};
 
 use crate::sweep::{ModelKind, ModelSpec, ScenarioOutcome};
 
@@ -135,6 +135,9 @@ pub struct PreparedBatch {
     pub nodes: usize,
     /// Times this engine has been claimed for a drive (0 = fresh).
     pub uses: usize,
+    /// Lifecycle event counters of the latest drive
+    /// ([`drive_prepared_batch`] sets them).
+    pub events: EventCounters,
 }
 
 /// Builds a lockstep batched engine for `spec` with `lanes` lanes.
@@ -172,6 +175,7 @@ pub fn prepare_batch(
         resource_count,
         nodes,
         uses: 0,
+        events: EventCounters::default(),
     })
 }
 
@@ -231,6 +235,8 @@ pub struct PreparedDrive {
     pub outcome: ScenarioOutcome,
     /// Fast-forward counters of this drive.
     pub fast_forward: FastForwardStats,
+    /// Lifecycle event counters of this drive.
+    pub events: EventCounters,
     /// What the delta layer did.
     pub delta: DeltaLaneOutcome,
     /// Whether the drive reused a previously derived engine.
@@ -240,13 +246,14 @@ pub struct PreparedDrive {
 }
 
 /// Drives one trace through a cached scalar engine, optionally capturing
-/// or consuming a delta-chain cache, with an optional telemetry sink
-/// attached for the duration of the drive (one `Box` round-trip, no
-/// reallocation).
+/// or consuming a delta-chain cache, then folds the drive into `tel` when
+/// a sink is given: the lane's execution records, engine and fast-forward
+/// counters, boundary events and detected regime, and the drive's
+/// [`EventCounters`] (also returned in [`PreparedDrive::events`]).
 ///
-/// The outcome is bitwise identical across [`DeltaMode`]s and with or
-/// without the sink — the conformance suites pin both down. Used by the
-/// sweep's scalar path and the serve daemon's shard workers, so both
+/// The outcome is bitwise identical across [`DeltaMode`]s — the
+/// conformance suites pin this down — and the sink only reads it. Used by
+/// the sweep's scalar path and the serve daemon's shard workers, so both
 /// dispatch through one drive implementation.
 ///
 /// # Panics
@@ -288,19 +295,27 @@ pub fn drive_prepared(
         }
     }
 
-    if let Some(sink) = tel.take() {
-        prepared.engine.attach_observer(sink);
-    }
     let start = Instant::now();
     let mut outcome = crate::sweep::drive_engine(&mut prepared.engine, arrivals);
     let wall = start.elapsed();
-    if let Some(ob) = prepared.engine.detach_observer() {
-        let mut sink = downcast::<TelemetrySink>(ob);
-        sink.seal_lanes();
-        *tel = Some(sink);
-    }
     let fast_forward = prepared.engine.fast_forward_stats();
     outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);
+    let acks_fed = !outcome.outputs.is_empty() && prepared.engine.needs_output_ack(0);
+    let events = EventCounters {
+        attaches: 1,
+        resets: reused_engine as u64,
+        offers: arrivals.len() as u64,
+        replayed_offers: fast_forward.fast_forwarded_iterations,
+        output_acks: if acks_fed {
+            outcome.outputs.len() as u64
+        } else {
+            0
+        },
+        promotions: fast_forward.promotions,
+        demotions: fast_forward.demotions,
+        ..EventCounters::default()
+    };
+    record_drive(tel, [(&outcome, fast_forward)], events);
 
     match &mode {
         DeltaMode::Off => {}
@@ -327,10 +342,34 @@ pub fn drive_prepared(
     PreparedDrive {
         outcome,
         fast_forward,
+        events,
         delta: delta_outcome,
         reused_engine,
         wall,
     }
+}
+
+/// Folds one drive into the sink, if any: per lane its execution records,
+/// engine and fast-forward counters, boundary events and detected regime;
+/// then the drive's lifecycle event counters.
+fn record_drive<'a>(
+    tel: &mut Option<Box<TelemetrySink>>,
+    lanes: impl IntoIterator<Item = (&'a ScenarioOutcome, FastForwardStats)>,
+    events: EventCounters,
+) {
+    let Some(sink) = tel.as_deref_mut() else {
+        return;
+    };
+    for (outcome, ff) in lanes {
+        sink.record_lane(&outcome.exec_records);
+        sink.record_engine(outcome.engine_stats);
+        sink.record_ff(ff.counters);
+        sink.boundary_events += outcome.boundary_events;
+        if let Some(d) = ff.detected {
+            sink.regimes.push((d.growth, d.period));
+        }
+    }
+    sink.record_events(events);
 }
 
 /// Busy ticks per resource index, summed over execution records.
@@ -390,11 +429,14 @@ pub fn delta_family_key(model: &ModelSpec) -> Option<DeltaFamilyKey> {
 /// [`drive_prepared`]'s role on the lockstep path: both the sweep's batch
 /// units and the serve daemon's affinity batches dispatch through here.
 ///
-/// Returns the per-lane outcomes (busy ticks filled) and whether the
-/// engine was reused. Per-lane engine and fast-forward counters are read
-/// back off `prepared.engine` by the caller
+/// Returns the per-lane outcomes (busy ticks filled), whether the engine
+/// was reused, and the drive's wall-clock time; the drive is folded into
+/// `tel` when a sink is given. Per-lane engine and fast-forward counters
+/// are read back off `prepared.engine` by the caller
 /// ([`BatchedEngine::lane_stats`]/
-/// [`lane_fast_forward_stats`](BatchedEngine::lane_fast_forward_stats)).
+/// [`lane_fast_forward_stats`](BatchedEngine::lane_fast_forward_stats)),
+/// the drive's lifecycle event counters off
+/// [`prepared.events`](PreparedBatch::events).
 ///
 /// # Panics
 ///
@@ -412,20 +454,30 @@ pub fn drive_prepared_batch(
     }
     prepared.uses += 1;
 
-    if let Some(sink) = tel.take() {
-        prepared.engine.attach_observer(sink);
-    }
     let start = Instant::now();
     let mut outcomes = crate::sweep::drive_batch(&mut prepared.engine, traces);
     let wall = start.elapsed();
-    if let Some(ob) = prepared.engine.detach_observer() {
-        let mut sink = downcast::<TelemetrySink>(ob);
-        sink.seal_lanes();
-        *tel = Some(sink);
-    }
     for outcome in &mut outcomes {
         outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);
     }
+    let engine = &prepared.engine;
+    let lane_ff = |lane| engine.lane_fast_forward_stats(lane);
+    let mut events = EventCounters {
+        attaches: 1,
+        resets: reused_engine as u64,
+        batch_sweeps: engine.stats().batched_iterations,
+        ..EventCounters::default()
+    };
+    for ff in (0..width).map(lane_ff) {
+        // A lane's replayed iteration is a lockstep step too; the most
+        // replayed lane counts.
+        let replayed = ff.fast_forwarded_iterations;
+        events.replayed_batch_sweeps = events.replayed_batch_sweeps.max(replayed);
+        events.promotions += ff.promotions;
+        events.demotions += ff.demotions;
+    }
+    prepared.events = events;
+    record_drive(tel, outcomes.iter().zip((0..width).map(lane_ff)), events);
     (outcomes, reused_engine, wall)
 }
 

@@ -62,8 +62,8 @@ use evolve_model::{
     didactic, elaborate, Architecture, Arrival, Environment, ExecRecord, RelationId, Stimulus,
 };
 use evolve_obs::{
-    downcast, BatchCounters, DeltaCounters, EjectReason, EngineEvent, MetricsSnapshot,
-    Observer as _, TelemetrySink, TraceCollector,
+    BatchCounters, DeltaCounters, EventCounters, MetricsSnapshot, ResourceSnapshot, TelemetrySink,
+    TraceCollector,
 };
 
 use crate::cache::{
@@ -341,11 +341,11 @@ pub struct SweepConfig {
     /// verifies before promoting (clamped to ≥ 2 by the engine); see
     /// `docs/SWEEP.md` for tuning guidance.
     pub ff_confirm_periods: u64,
-    /// Attach a streaming [`TelemetrySink`] to every engine drive and
-    /// aggregate the per-worker shards into
-    /// [`SweepReport::telemetry`]. Off by default: outcomes are bitwise
-    /// identical either way (the observer-conformance suite pins this
-    /// down), but observation costs a few percent of sweep throughput.
+    /// Fold every drive's execution records into [`TelemetrySink`] shards
+    /// and report the per-resource metrics in
+    /// [`SweepReport::resources`]. Off by default: the sink only reads
+    /// what a drive returned, so outcomes are identical either way, but
+    /// folding the records costs a few percent of sweep throughput.
     pub telemetry: bool,
     /// Group scalar compiled scenarios of structurally identical models
     /// into base+sibling *delta chains*: the chain's first scenario is
@@ -400,14 +400,13 @@ pub struct SweepReport {
     /// attached siblings, the siblings' node-level counters, and the
     /// siblings ejected to full evaluation by reason.
     pub delta: DeltaCounters,
+    /// Lifecycle event counters summed over every drive.
+    pub events: EventCounters,
     /// Host wall-clock time of the whole sweep.
     pub wall: HostDuration,
-    /// Merged streaming-telemetry shards (resource metrics, event counts),
-    /// present when [`SweepConfig::telemetry`] was on. Counter families
-    /// are overlaid from the report's own totals by
-    /// [`SweepReport::metrics_snapshot`], which works with or without
-    /// this field.
-    pub telemetry: Option<MetricsSnapshot>,
+    /// Per-resource metrics over every scenario's execution records,
+    /// sorted by resource; empty unless [`SweepConfig::telemetry`] was on.
+    pub resources: Vec<ResourceSnapshot>,
 }
 
 impl SweepReport {
@@ -449,43 +448,40 @@ impl SweepReport {
     }
 
     /// One [`MetricsSnapshot`] carrying every counter family of the sweep
-    /// — engine work, fast-forward, batching, lifecycle events, and (when
-    /// [`SweepConfig::telemetry`] was on) streamed per-resource metrics —
-    /// so every counter family flows through the same Prometheus/JSON
+    /// — engine work, fast-forward, batching, delta, lifecycle events —
+    /// plus the per-resource metrics when [`SweepConfig::telemetry`] was
+    /// on, so every family flows through the same Prometheus/JSON
     /// exporters.
     ///
-    /// Counter families come from the report's own deterministic totals.
-    /// Without a telemetry shard, boundary events are synthesised from the
-    /// scenario outcomes (offers = input acks; acks = output writes, the
-    /// boundary exchanges a kernel would count), so the Table I
-    /// event-ratio gauge is live either way.
+    /// Every counter comes from the report's own deterministic totals, so
+    /// a telemetry-on snapshot differs from a telemetry-off one only in
+    /// `resources`. Boundary events are the scenarios' arrivals plus
+    /// output writes; regimes are one per scenario with a detected regime.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.telemetry.clone().unwrap_or_default();
-        snap.engine = EngineStats::default();
+        let mut engine = EngineStats::default();
         for s in &self.scenarios {
-            snap.engine.merge(&s.outcome.engine_stats);
+            engine.merge(&s.outcome.engine_stats);
         }
-        snap.ff = self.total_fast_forward_stats().counters;
-        snap.batch = self.batching;
-        snap.delta = self.delta;
-        if snap.events.boundary_events() == 0 {
-            let inputs: u64 = self
+        let regimes = self
+            .detected_regimes()
+            .into_iter()
+            .flat_map(|(d, n)| std::iter::repeat_n((d.growth, d.period), n as usize))
+            .collect();
+        MetricsSnapshot {
+            engine,
+            ff: self.total_fast_forward_stats().counters,
+            batch: self.batching,
+            delta: self.delta,
+            events: self.events,
+            boundary_events: self
                 .scenarios
                 .iter()
-                .map(|s| s.outcome.input_acks.len() as u64)
-                .sum();
-            let boundary: u64 = self.scenarios.iter().map(|s| s.outcome.boundary_events).sum();
-            snap.events.offers = inputs;
-            snap.events.output_acks = boundary.saturating_sub(inputs);
+                .map(|s| s.outcome.boundary_events)
+                .sum(),
+            regimes,
+            resources: self.resources.clone(),
+            ..MetricsSnapshot::default()
         }
-        if snap.regimes.is_empty() {
-            for (d, count) in self.detected_regimes() {
-                for _ in 0..count {
-                    snap.regimes.push((d.growth, d.period));
-                }
-            }
-        }
-        snap
     }
 
     /// Writes the [`metrics_snapshot`](SweepReport::metrics_snapshot) to
@@ -851,6 +847,17 @@ fn reference_for(
     }
 }
 
+/// What one work unit counts besides its results. `run_sweep` merges the
+/// units' ledgers in unit order, so the totals are deterministic.
+#[derive(Default)]
+struct Ledger {
+    batching: BatchCounters,
+    delta: DeltaCounters,
+    events: EventCounters,
+    /// The unit's telemetry shard, when [`SweepConfig::telemetry`] is on.
+    tel: Option<Box<TelemetrySink>>,
+}
+
 /// Evaluates one scenario on a worker-cached engine, optionally capturing
 /// or consuming a delta-chain cache. The delta lifecycle and drive itself
 /// live in [`cache::drive_prepared`], shared with the serve daemon.
@@ -859,7 +866,7 @@ fn evaluate_inner(
     index: usize,
     spec: &ScenarioSpec,
     config: &SweepConfig,
-    tel: &mut Option<Box<TelemetrySink>>,
+    ledger: &mut Ledger,
     mode: DeltaMode<'_>,
 ) -> (ScenarioResult, DeltaLaneOutcome) {
     let options = engine_options(config);
@@ -867,7 +874,14 @@ fn evaluate_inner(
         .entry(spec.model.clone())
         .or_insert_with(|| prepare(&spec.model, &options));
     let stimulus = spec.trace.stimulus();
-    let drive = drive_prepared(prepared, stimulus.arrivals(), &options, tel, mode);
+    let drive = drive_prepared(
+        prepared,
+        stimulus.arrivals(),
+        &options,
+        &mut ledger.tel,
+        mode,
+    );
+    ledger.events.merge(&drive.events);
     let reference = config.compare_conventional.then(|| {
         reference_for(
             &prepared.arch,
@@ -901,9 +915,9 @@ fn evaluate(
     index: usize,
     spec: &ScenarioSpec,
     config: &SweepConfig,
-    tel: &mut Option<Box<TelemetrySink>>,
+    ledger: &mut Ledger,
 ) -> ScenarioResult {
-    evaluate_inner(cache, index, spec, config, tel, DeltaMode::Off).0
+    evaluate_inner(cache, index, spec, config, ledger, DeltaMode::Off).0
 }
 
 /// Why the batching layer sent a scenario down the scalar path.
@@ -1076,8 +1090,7 @@ fn evaluate_batch(
     state: &mut EngineCaches,
     group: BatchGroup,
     config: &SweepConfig,
-    stats: &mut BatchCounters,
-    tel: &mut Option<Box<TelemetrySink>>,
+    ledger: &mut Ledger,
 ) -> Vec<ScenarioResult> {
     let options = engine_options(config);
     let model = &group[0].1.model;
@@ -1090,15 +1103,9 @@ fn evaluate_batch(
         Err(_) => {
             let mut out = Vec::new();
             for (index, spec) in &group {
-                stats.eject_unsupported += 1;
-                stats.lanes_scalar += 1;
-                if let Some(sink) = tel.as_deref_mut() {
-                    sink.on_event(EngineEvent::LaneEjected {
-                        lane: *index as u32,
-                        reason: EjectReason::Unsupported,
-                    });
-                }
-                out.push(evaluate(&mut state.scalar, *index, spec, config, tel));
+                ledger.batching.eject_unsupported += 1;
+                ledger.batching.lanes_scalar += 1;
+                out.push(evaluate(&mut state.scalar, *index, spec, config, ledger));
             }
             return out;
         }
@@ -1107,11 +1114,14 @@ fn evaluate_batch(
     let width = group.len();
     let stimuli: Vec<Stimulus> = group.iter().map(|(_, s)| s.trace.stimulus()).collect();
     let traces: Vec<&[Arrival]> = stimuli.iter().map(|s| s.arrivals()).collect();
-    let (outcomes, reused_engine, batch_wall) = drive_prepared_batch(prepared, &traces, tel);
+    let (outcomes, reused_engine, batch_wall) =
+        drive_prepared_batch(prepared, &traces, &mut ledger.tel);
     // Per-lane amortized cost, comparable to the scalar wall.
     let wall = batch_wall / width as u32;
 
+    ledger.events.merge(&prepared.events);
     let kernel = prepared.engine.kernel_dispatch();
+    let stats = &mut ledger.batching;
     stats.batches_formed += 1;
     stats.lanes_batched += width as u64;
     stats.lockstep_iterations += prepared.engine.stats().batched_iterations;
@@ -1152,36 +1162,16 @@ fn evaluate_batch(
         .collect()
 }
 
-/// Books one scalar evaluation into the batching counters and telemetry —
-/// shared by the plain scalar arm and every delta-chain member, so the
-/// batching ledger is identical with chaining on or off.
-fn count_scalar(
-    stats: &mut BatchCounters,
-    tel: &mut Option<Box<TelemetrySink>>,
-    index: usize,
-    reason: &ScalarReason,
-) {
+/// Books one scalar evaluation into the batching counters — shared by the
+/// plain scalar arm and every delta-chain member, so the batching ledger
+/// is identical with chaining on or off.
+fn count_scalar(stats: &mut BatchCounters, reason: &ScalarReason) {
     stats.lanes_scalar += 1;
-    let eject = match reason {
-        ScalarReason::BatchingOff => None,
-        ScalarReason::Worklist => {
-            stats.eject_worklist += 1;
-            Some(EjectReason::Worklist)
-        }
-        ScalarReason::EmptyTrace => {
-            stats.eject_empty_trace += 1;
-            Some(EjectReason::EmptyTrace)
-        }
-        ScalarReason::SingleLane => {
-            stats.eject_single_lane += 1;
-            Some(EjectReason::SingleLane)
-        }
-    };
-    if let (Some(sink), Some(reason)) = (tel.as_deref_mut(), eject) {
-        sink.on_event(EngineEvent::LaneEjected {
-            lane: index as u32,
-            reason,
-        });
+    match reason {
+        ScalarReason::BatchingOff => {}
+        ScalarReason::Worklist => stats.eject_worklist += 1,
+        ScalarReason::EmptyTrace => stats.eject_empty_trace += 1,
+        ScalarReason::SingleLane => stats.eject_single_lane += 1,
     }
 }
 
@@ -1194,24 +1184,22 @@ fn evaluate_delta_chain(
     state: &mut EngineCaches,
     chain: ChainMembers,
     config: &SweepConfig,
-    stats: &mut BatchCounters,
-    delta_stats: &mut DeltaCounters,
-    tel: &mut Option<Box<TelemetrySink>>,
+    ledger: &mut Ledger,
 ) -> Vec<ScenarioResult> {
-    delta_stats.chains_formed += 1;
+    ledger.delta.chains_formed += 1;
     let mut out = Vec::with_capacity(chain.len());
     let mut base_cache: Option<Arc<DeltaCache>> = None;
     let mut capture_fail: Option<DeltaUnsupported> = None;
     for (pos, (index, spec, reason)) in chain.into_iter().enumerate() {
-        count_scalar(stats, tel, index, &reason);
+        count_scalar(&mut ledger.batching, &reason);
         if pos == 0 {
-            delta_stats.lanes_base += 1;
+            ledger.delta.lanes_base += 1;
             let (result, outcome) = evaluate_inner(
                 &mut state.scalar,
                 index,
                 &spec,
                 config,
-                tel,
+                ledger,
                 DeltaMode::CaptureBase,
             );
             match outcome {
@@ -1226,24 +1214,24 @@ fn evaluate_delta_chain(
                 index,
                 &spec,
                 config,
-                tel,
+                ledger,
                 DeltaMode::Sibling(&cache),
             );
             match outcome {
                 DeltaLaneOutcome::Attached(engine_stats) => {
-                    delta_stats.lanes_delta += 1;
-                    delta_stats.merge(&engine_stats);
+                    ledger.delta.lanes_delta += 1;
+                    ledger.delta.merge(&engine_stats);
                 }
-                DeltaLaneOutcome::Ejected(reason) => count_delta_eject(delta_stats, reason),
+                DeltaLaneOutcome::Ejected(reason) => count_delta_eject(&mut ledger.delta, reason),
                 _ => {}
             }
             out.push(result);
         } else {
             count_delta_eject(
-                delta_stats,
+                &mut ledger.delta,
                 capture_fail.unwrap_or(DeltaUnsupported::StructureMismatch),
             );
-            out.push(evaluate(&mut state.scalar, index, &spec, config, tel));
+            out.push(evaluate(&mut state.scalar, index, &spec, config, ledger));
         }
     }
     out
@@ -1253,38 +1241,27 @@ fn process_unit(
     state: &mut EngineCaches,
     unit: WorkUnit,
     config: &SweepConfig,
-) -> (
-    Vec<ScenarioResult>,
-    BatchCounters,
-    DeltaCounters,
-    Option<Box<TelemetrySink>>,
-) {
-    let mut stats = BatchCounters::default();
-    let mut delta_stats = DeltaCounters::default();
+) -> (Vec<ScenarioResult>, Ledger) {
     // One telemetry shard per unit; `run_sweep` merges shards in unit
     // order at its single ordering point.
-    let mut tel: Option<Box<TelemetrySink>> =
-        config.telemetry.then(|| Box::new(TelemetrySink::new()));
-    match unit {
+    let mut ledger = Ledger {
+        tel: config.telemetry.then(|| Box::new(TelemetrySink::new())),
+        ..Ledger::default()
+    };
+    let results = match unit {
         WorkUnit::Scalar {
             index,
             spec,
             reason,
         } => {
-            count_scalar(&mut stats, &mut tel, index, &reason);
-            let result = evaluate(&mut state.scalar, index, &spec, config, &mut tel);
-            (vec![result], stats, delta_stats, tel)
+            count_scalar(&mut ledger.batching, &reason);
+            let result = evaluate(&mut state.scalar, index, &spec, config, &mut ledger);
+            vec![result]
         }
-        WorkUnit::Batch(group) => {
-            let results = evaluate_batch(state, group, config, &mut stats, &mut tel);
-            (results, stats, delta_stats, tel)
-        }
-        WorkUnit::Delta(chain) => {
-            let results =
-                evaluate_delta_chain(state, chain, config, &mut stats, &mut delta_stats, &mut tel);
-            (results, stats, delta_stats, tel)
-        }
-    }
+        WorkUnit::Batch(group) => evaluate_batch(state, group, config, &mut ledger),
+        WorkUnit::Delta(chain) => evaluate_delta_chain(state, chain, config, &mut ledger),
+    };
+    (results, ledger)
 }
 
 /// Runs every scenario on a pool of [`SweepConfig::threads`] workers and
@@ -1315,18 +1292,21 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         ..BatchCounters::default()
     };
     let mut delta = DeltaCounters::default();
+    let mut events = EventCounters::default();
     let mut results = Vec::with_capacity(scenarios.len());
-    let mut telemetry: Option<TelemetrySink> = config.telemetry.then(TelemetrySink::new);
-    for (unit_results, unit_stats, unit_delta, unit_tel) in processed {
+    let mut telemetry = TelemetrySink::new();
+    for (unit_results, ledger) in processed {
         results.extend(unit_results);
-        batching.merge(&unit_stats);
-        delta.merge(&unit_delta);
+        batching.merge(&ledger.batching);
+        delta.merge(&ledger.delta);
+        events.merge(&ledger.events);
         // Telemetry shards merge here too: `processed` is in unit order
         // for any thread count, so the aggregate is deterministic.
-        if let (Some(total), Some(shard)) = (telemetry.as_mut(), unit_tel) {
-            total.merge(*shard);
+        if let Some(shard) = ledger.tel {
+            telemetry.merge(*shard);
         }
     }
+    events.lane_ejections = batching.ejections();
     // The single ordering point of the report: units interleave scenario
     // indices (batches pull scattered indices together), so re-sort by
     // input index and assert the result is exactly a permutation back to
@@ -1340,25 +1320,26 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         scenarios: results,
         batching,
         delta,
+        events,
         wall: start.elapsed(),
-        telemetry: telemetry.map(|mut sink| sink.snapshot()),
+        resources: telemetry.snapshot().resources,
     }
 }
 
-/// Evaluates one scenario with a [`TraceCollector`] attached and returns
-/// the result together with the collector, ready for Chrome-trace export
+/// Evaluates one scenario and returns the result together with a
+/// [`TraceCollector`] built from it, ready for Chrome-trace export
 /// (`collector.to_chrome_trace()`, loadable in Perfetto).
 ///
-/// The collector's observation-time tracks are built from the records the
-/// engine streams at every boundary call — including iterations answered
-/// by fast-forward template replay — and its merged intervals equal
+/// The collector's observation-time tracks are the drive's execution
+/// records — including iterations answered by fast-forward template
+/// replay — and its merged intervals equal
 /// [`ResourceTrace::from_records`](evolve_model::ResourceTrace::from_records)
-/// on the same records exactly (the observer conformance suite pins this
+/// on the same records exactly (the telemetry conformance suite pins this
 /// down on a promoted scenario). One host-time span covering the whole
 /// drive is added alongside.
 ///
 /// Requires [`SweepConfig::record_observations`] (off, there are no
-/// records to stream).
+/// records to trace).
 ///
 /// # Panics
 ///
@@ -1366,17 +1347,16 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
 pub fn trace_scenario(
     spec: &ScenarioSpec,
     config: &SweepConfig,
-) -> (ScenarioResult, Box<TraceCollector>) {
+) -> (ScenarioResult, TraceCollector) {
+    let mut collector = TraceCollector::new();
     let mut prepared = prepare(&spec.model, &engine_options(config));
-    prepared.engine.attach_observer(Box::new(TraceCollector::new()));
     let stimulus = spec.trace.stimulus();
     let start = Instant::now();
     let mut outcome = drive_engine(&mut prepared.engine, stimulus.arrivals());
     let wall = start.elapsed();
     let fast_forward = prepared.engine.fast_forward_stats();
     outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);
-    let mut collector =
-        downcast::<TraceCollector>(prepared.engine.detach_observer().expect("attached above"));
+    collector.record_lane(0, &outcome.exec_records);
     let end_us = collector.now_us();
     let start_us = (end_us - wall.as_secs_f64() * 1e6).max(0.0);
     collector.push_span(format!("drive {}", spec.label), start_us, end_us);
@@ -1494,6 +1474,33 @@ mod tests {
         // Four distinct (kind, backend) models over ten scenarios: six
         // reuse an engine.
         assert_eq!(report.reused_count(), 6);
+    }
+
+    #[test]
+    fn telemetry_changes_only_the_snapshot_resources() {
+        // Batches, ejections, delta chains, reused engines and promotions;
+        // one thread, so engine reuse (and with it the reset count) is
+        // the same in both runs.
+        let scenarios = default_grid(24, 60);
+        let config = SweepConfig {
+            threads: 1,
+            batch_width: 4,
+            ..SweepConfig::default()
+        };
+        let off = run_sweep(&scenarios, &config);
+        let telemetry = SweepConfig {
+            telemetry: true,
+            ..config
+        };
+        let on = run_sweep(&scenarios, &telemetry);
+        let (off, mut on) = (off.metrics_snapshot(), on.metrics_snapshot());
+        assert!(off.resources.is_empty());
+        assert!(!on.resources.is_empty());
+        assert!(on.events.resets > 0, "{:?}", on.events);
+        assert!(on.events.batch_sweeps > 0, "{:?}", on.events);
+        assert!(on.events.lane_ejections > 0, "{:?}", on.events);
+        on.resources.clear();
+        assert_eq!(on, off);
     }
 
     #[test]

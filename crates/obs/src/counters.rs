@@ -238,29 +238,45 @@ counter_families! {
         }
     }
 
-    /// Counts of observed [`EngineEvent`](crate::EngineEvent)s.
+    /// Engine lifecycle event counts, derived after each drive from what
+    /// the drive returned (`evolve_explore::cache` computes one set per
+    /// drive).
     pub struct EventCounters {
         counter sum "evolve_events_total" "Engine lifecycle events observed, by kind" {
+            /// One per drive.
             attaches { kind = "attach" },
+            /// Scalar-engine input arrivals.
             offers { kind = "offer" },
+            /// Scalar offers answered by fast-forward template replay.
             replayed_offers { kind = "offer_replayed" },
+            /// Lockstep steps of batched drives.
             batch_sweeps { kind = "batch_sweep" },
+            /// Per batched drive, the most template-replayed iterations of
+            /// any lane.
             replayed_batch_sweeps { kind = "batch_sweep_replayed" },
+            /// Output acknowledgments fed back into an engine.
             output_acks { kind = "output_ack" },
             promotions { kind = "ff_promoted" },
             demotions { kind = "ff_demoted" },
+            /// Scenarios the batching layer sent to the scalar path.
             lane_ejections { kind = "lane_ejected" },
+            /// Offers refused with a time-overflow error. The drives panic
+            /// on one instead (serve admission rejects such traces), so
+            /// this stays 0.
             overflows { kind = "overflow" },
+            /// Drives on a reused engine (each starts with a reset).
             resets { kind = "reset" },
         }
     }
 }
 
-impl EventCounters {
-    /// Boundary events: interface instants the equivalent model still
-    /// simulates (offers in, acknowledgments out).
-    pub fn boundary_events(&self) -> u64 {
-        self.offers + self.output_acks
+impl BatchCounters {
+    /// Scenarios ejected from batching, every reason summed.
+    pub fn ejections(&self) -> u64 {
+        self.eject_worklist
+            + self.eject_empty_trace
+            + self.eject_single_lane
+            + self.eject_unsupported
     }
 }
 

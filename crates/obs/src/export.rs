@@ -134,7 +134,7 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
     let _ = writeln!(
         out,
         "evolve_boundary_events_total {}",
-        snapshot.events.boundary_events()
+        snapshot.boundary_events
     );
 
     family(
@@ -216,29 +216,24 @@ mod tests {
     use evolve_model::{ExecRecord, FunctionId, ResourceId};
 
     use crate::metrics::TelemetrySink;
-    use crate::Observer as _;
 
     use super::*;
 
     #[test]
     fn prometheus_exposition_shape() {
         let mut sink = TelemetrySink::new();
-        sink.on_records(
-            0,
-            &[ExecRecord {
-                resource: ResourceId::from_index(2),
-                function: FunctionId::from_index(0),
-                stmt: 0,
-                k: 0,
-                start: Time::from_ticks(0),
-                end: Time::from_ticks(10),
-                ops: 100,
-            }],
-        );
-        sink.on_event(crate::EngineEvent::Offer {
+        sink.record_lane(&[ExecRecord {
+            resource: ResourceId::from_index(2),
+            function: FunctionId::from_index(0),
+            stmt: 0,
             k: 0,
-            lane: 0,
-            replayed: false,
+            start: Time::from_ticks(0),
+            end: Time::from_ticks(10),
+            ops: 100,
+        }]);
+        sink.record_events(crate::EventCounters {
+            offers: 1,
+            ..crate::EventCounters::default()
         });
         sink.record_serve(crate::ServeCounters {
             requests: 5,

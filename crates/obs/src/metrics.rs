@@ -1,28 +1,23 @@
-//! Streaming observation-time resource metrics with bounded memory.
+//! Observation-time resource metrics and counter aggregation.
 //!
-//! [`TelemetrySink`] is the workhorse [`Observer`]: it folds every streamed
-//! [`ExecRecord`] into per-resource accumulators ([`ResourceMetrics`]) and
-//! counts lifecycle events ([`EventCounters`]) — no record buffering, so a
-//! billion-iteration drive observes in O(resources) memory. Records
-//! produced by fast-forward template replay stream through the same path,
-//! so the accumulated busy time stays exact under promotion; the analytic
-//! alternative (fold the one-period template once, multiply by the period
-//! count) is provided by [`PeriodUsage`] and verified against brute force.
+//! [`TelemetrySink`] is filled after each engine drive from what the drive
+//! returned: every lane's [`ExecRecord`]s fold into per-resource
+//! accumulators ([`ResourceMetrics`]), and the drive's counters
+//! ([`EventCounters`] and the other families) add up. The records are the
+//! ones the engine replayed from its computed instants — fast-forward
+//! template replay included — so the accumulated busy time equals the
+//! post-hoc `ResourceTrace` analysis exactly.
 //!
 //! A finished sink (or several merged shards) freezes into a
 //! [`MetricsSnapshot`], exportable as JSON or Prometheus text exposition
 //! (see [`crate::export`]).
-
-use std::any::Any;
 
 use evolve_model::ExecRecord;
 
 use crate::counters::{
     BatchCounters, DeltaCounters, EngineCounters, EventCounters, FfCounters, ServeCounters,
 };
-use crate::event::{BackendKind, EngineEvent};
 use crate::json::Json;
-use crate::observer::{Observer, Sealed};
 
 /// Number of [`LogHistogram`] buckets: one for zero plus one per power of
 /// two up to `u64::MAX`.
@@ -82,17 +77,9 @@ impl LogHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` identical samples (used by the analytic period fold).
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_of(value)] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
+        self.buckets[Self::bucket_of(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
     }
 
@@ -273,30 +260,36 @@ impl ResourceMetrics {
     }
 }
 
-/// The streaming telemetry observer: counters plus per-lane per-resource
-/// accumulators, mergeable across worker shards.
+/// Telemetry of a run of engine drives: counter families plus
+/// per-resource accumulators, mergeable across worker shards.
+///
+/// Drivers fill it from what each drive returned ([`record_lane`] per
+/// lane, the `record_*` methods per counter family); the serve daemon adds
+/// its serving counters.
+///
+/// [`record_lane`]: TelemetrySink::record_lane
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
-    /// Engine work counters (recorded by the driver after each drive).
+    /// Engine work counters.
     pub engine: EngineCounters,
-    /// Fast-forward counters (recorded by the driver after each drive).
+    /// Fast-forward counters.
     pub ff: FfCounters,
-    /// Batching counters (recorded by the sweep layer).
+    /// Batching counters.
     pub batch: BatchCounters,
-    /// Delta-evaluation counters (recorded by the sweep layer).
+    /// Delta-evaluation counters.
     pub delta: DeltaCounters,
-    /// Serving-layer counters (recorded by the serve daemon's shards).
+    /// Serving-layer counters.
     pub serve: ServeCounters,
-    /// Lifecycle event counts.
+    /// Engine lifecycle event counts.
     pub events: EventCounters,
-    /// Detected periodic regimes `(growth, period)`, one per promotion.
+    /// Boundary events: input arrivals plus output writes, every lane of
+    /// every drive (the paper's Table I count).
+    pub boundary_events: u64,
+    /// Detected periodic regimes `(growth, period)`, one per evaluated
+    /// lane that settled into one.
     pub regimes: Vec<(u64, u64)>,
-    /// Live per-lane accumulators, indexed `[lane][resource]`.
-    lanes: Vec<Vec<ResourceMetrics>>,
-    /// Aggregate of sealed scenarios and merged shards, by resource.
-    folded: Vec<ResourceMetrics>,
-    /// Backends this sink has been attached to.
-    pub backends: Vec<BackendKind>,
+    /// Per-resource accumulators over every recorded lane, by resource.
+    resources: Vec<ResourceMetrics>,
 }
 
 impl TelemetrySink {
@@ -305,8 +298,7 @@ impl TelemetrySink {
         Self::default()
     }
 
-    /// Folds an engine's work counters into the sink (drivers call this
-    /// after each drive with the engine's `EngineStats`).
+    /// Folds an engine's work counters into the sink.
     pub fn record_engine(&mut self, counters: EngineCounters) {
         self.engine.merge(&counters);
     }
@@ -331,17 +323,24 @@ impl TelemetrySink {
         self.serve.merge(&counters);
     }
 
-    /// Seals every live lane into the aggregate (end of a scenario).
-    pub fn seal_lanes(&mut self) {
-        let lanes = std::mem::take(&mut self.lanes);
-        for lane in &lanes {
-            for (idx, rm) in lane.iter().enumerate() {
-                if rm.records == 0 && rm.durations.count() == 0 {
-                    continue;
-                }
-                Self::resource_slot(&mut self.folded, idx).merge(rm);
-            }
+    /// Folds lifecycle event counters into the sink.
+    pub fn record_events(&mut self, counters: EventCounters) {
+        self.events.merge(&counters);
+    }
+
+    /// Folds one lane's execution records, in production order, into the
+    /// per-resource accumulators. Each call is its own time axis: the
+    /// lane's merged intervals are sealed before they join the totals.
+    pub fn record_lane(&mut self, records: &[ExecRecord]) {
+        let mut lane: Vec<ResourceMetrics> = Vec::new();
+        for r in records {
+            Self::resource_slot(&mut lane, r.resource.index()).observe(
+                r.start.ticks(),
+                r.end.ticks(),
+                r.ops,
+            );
         }
+        self.merge_resources(&lane);
     }
 
     fn resource_slot(v: &mut Vec<ResourceMetrics>, idx: usize) -> &mut ResourceMetrics {
@@ -351,28 +350,31 @@ impl TelemetrySink {
         &mut v[idx]
     }
 
-    /// Folds another shard (a different worker or lane) into this sink.
-    pub fn merge(&mut self, mut other: TelemetrySink) {
-        other.seal_lanes();
-        self.seal_lanes();
+    fn merge_resources(&mut self, resources: &[ResourceMetrics]) {
+        for (idx, rm) in resources.iter().enumerate() {
+            if rm.records > 0 {
+                Self::resource_slot(&mut self.resources, idx).merge(rm);
+            }
+        }
+    }
+
+    /// Folds another shard (a different worker) into this sink.
+    pub fn merge(&mut self, other: TelemetrySink) {
         self.engine.merge(&other.engine);
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
         self.delta.merge(&other.delta);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
+        self.boundary_events += other.boundary_events;
         self.regimes.extend(other.regimes);
-        self.backends.extend(other.backends);
-        for (idx, rm) in other.folded.iter().enumerate() {
-            Self::resource_slot(&mut self.folded, idx).merge(rm);
-        }
+        self.merge_resources(&other.resources);
     }
 
-    /// Freezes the sink into an exportable snapshot (seals live lanes).
-    pub fn snapshot(&mut self) -> MetricsSnapshot {
-        self.seal_lanes();
+    /// Freezes the sink into an exportable snapshot.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let resources = self
-            .folded
+            .resources
             .iter()
             .enumerate()
             .filter(|(_, rm)| rm.records > 0)
@@ -394,67 +396,12 @@ impl TelemetrySink {
             delta: self.delta,
             serve: self.serve,
             events: self.events,
+            boundary_events: self.boundary_events,
             regimes: self.regimes.clone(),
             resources,
             phases: Vec::new(),
             serve_gauges: None,
         }
-    }
-}
-
-impl Sealed for TelemetrySink {}
-
-impl Observer for TelemetrySink {
-    fn on_event(&mut self, event: EngineEvent) {
-        match event {
-            EngineEvent::Attached { backend, .. } => {
-                self.events.attaches += 1;
-                self.backends.push(backend);
-            }
-            EngineEvent::Offer { replayed, .. } => {
-                self.events.offers += 1;
-                if replayed {
-                    self.events.replayed_offers += 1;
-                }
-            }
-            EngineEvent::BatchSweep { replayed, .. } => {
-                self.events.batch_sweeps += 1;
-                if replayed {
-                    self.events.replayed_batch_sweeps += 1;
-                }
-            }
-            EngineEvent::OutputAck { .. } => self.events.output_acks += 1,
-            EngineEvent::FfPromoted { growth, period, .. } => {
-                self.events.promotions += 1;
-                self.regimes.push((growth, period));
-            }
-            EngineEvent::FfDemoted { .. } => self.events.demotions += 1,
-            EngineEvent::LaneEjected { .. } => self.events.lane_ejections += 1,
-            EngineEvent::Overflow { .. } => self.events.overflows += 1,
-            EngineEvent::Reset => {
-                self.events.resets += 1;
-                self.seal_lanes();
-            }
-        }
-    }
-
-    fn on_records(&mut self, lane: u32, records: &[ExecRecord]) {
-        let lane = lane as usize;
-        if self.lanes.len() <= lane {
-            self.lanes.resize_with(lane + 1, Vec::new);
-        }
-        for r in records {
-            let idx = r.resource.index();
-            Self::resource_slot(&mut self.lanes[lane], idx).observe(
-                r.start.ticks(),
-                r.end.ticks(),
-                r.ops,
-            );
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -518,7 +465,11 @@ pub struct MetricsSnapshot {
     pub serve: ServeCounters,
     /// Lifecycle event counts.
     pub events: EventCounters,
-    /// Detected periodic regimes `(growth, period)`.
+    /// Boundary events: input arrivals plus output writes, every lane of
+    /// every drive (the paper's Table I count).
+    pub boundary_events: u64,
+    /// Detected periodic regimes `(growth, period)`, one per evaluated
+    /// lane that settled into one.
     pub regimes: Vec<(u64, u64)>,
     /// Per-resource metrics, sorted by resource index.
     pub resources: Vec<ResourceSnapshot>,
@@ -537,7 +488,7 @@ impl MetricsSnapshot {
     /// event. Table I maps this ratio to the attainable speed-up when the
     /// per-event dispatch cost dominates.
     pub fn event_ratio(&self) -> Option<f64> {
-        let boundary = self.events.boundary_events();
+        let boundary = self.boundary_events;
         if boundary == 0 {
             return None;
         }
@@ -565,6 +516,7 @@ impl MetricsSnapshot {
         self.delta.merge(&other.delta);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
+        self.boundary_events += other.boundary_events;
         self.regimes.extend(other.regimes.iter().copied());
         for theirs in &other.resources {
             match self
@@ -635,7 +587,7 @@ impl MetricsSnapshot {
         let mut events = self.events.json_fields();
         events.push((
             "boundary_events".to_string(),
-            Json::U64(self.events.boundary_events()),
+            Json::U64(self.boundary_events),
         ));
         Json::object([
             ("engine", self.engine.to_json()),
@@ -708,158 +660,6 @@ impl MetricsSnapshot {
             ),
         ])
     }
-}
-
-/// The one-period execution template of a promoted lane, foldable
-/// analytically over `m` periods: per-period usage × period count, with
-/// the union of time-shifted busy intervals computed exactly without
-/// materialising `m` copies.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PeriodUsage {
-    /// Per-resource merged busy intervals of one period, in ticks.
-    per_resource: Vec<PeriodResource>,
-    /// Ticks the template shifts per period (`growth`).
-    pub growth: u64,
-}
-
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct PeriodResource {
-    resource: usize,
-    intervals: Vec<(u64, u64)>,
-    ops: u64,
-    records: u64,
-    durations: Vec<u64>,
-}
-
-/// The analytic fold of one resource over `m` periods.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FoldedResource {
-    /// Resource index.
-    pub resource: usize,
-    /// Exact busy ticks of the union of `m` shifted template copies.
-    pub busy_ticks: u64,
-    /// Total operations (`m ×` per-period ops).
-    pub ops: u64,
-    /// Total records (`m ×` per-period records).
-    pub records: u64,
-    /// Duration histogram (`m ×` per-period multiplicities).
-    pub durations: LogHistogram,
-}
-
-impl PeriodUsage {
-    /// Builds the template from one period's execution records and its
-    /// detected per-period growth.
-    pub fn from_records(records: &[ExecRecord], growth: u64) -> Self {
-        let mut per: Vec<PeriodResource> = Vec::new();
-        for r in records {
-            let idx = r.resource.index();
-            let slot = match per.iter_mut().find(|p| p.resource == idx) {
-                Some(p) => p,
-                None => {
-                    per.push(PeriodResource {
-                        resource: idx,
-                        ..PeriodResource::default()
-                    });
-                    per.last_mut().expect("just pushed")
-                }
-            };
-            slot.ops += r.ops;
-            slot.records += 1;
-            slot.durations
-                .push(r.end.ticks().saturating_sub(r.start.ticks()));
-            if r.start < r.end {
-                slot.intervals.push((r.start.ticks(), r.end.ticks()));
-            }
-        }
-        for slot in &mut per {
-            slot.intervals = merge_intervals(std::mem::take(&mut slot.intervals));
-        }
-        per.sort_by_key(|p| p.resource);
-        PeriodUsage {
-            per_resource: per,
-            growth,
-        }
-    }
-
-    /// Folds the template over `periods` repetitions, each shifted by
-    /// [`growth`](PeriodUsage::growth) ticks from the previous one.
-    /// Busy ticks are the exact measure of the union of all shifted
-    /// copies, computed by materialising only as many copies as can
-    /// overlap (the per-copy increment is constant beyond that depth).
-    pub fn fold(&self, periods: u64) -> Vec<FoldedResource> {
-        self.per_resource
-            .iter()
-            .map(|p| {
-                let mut durations = LogHistogram::default();
-                for d in &p.durations {
-                    durations.record_n(*d, periods);
-                }
-                FoldedResource {
-                    resource: p.resource,
-                    busy_ticks: shifted_union_busy(&p.intervals, self.growth, periods),
-                    ops: p.ops * periods,
-                    records: p.records * periods,
-                    durations,
-                }
-            })
-            .collect()
-    }
-}
-
-/// Merges `[start, end)` spans into sorted disjoint intervals (the same
-/// construction as `ResourceTrace::from_records`).
-fn merge_intervals(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    spans.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
-    for (s, e) in spans {
-        match out.last_mut() {
-            Some((_, last_end)) if s <= *last_end => {
-                if e > *last_end {
-                    *last_end = e;
-                }
-            }
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-fn busy_of(intervals: &[(u64, u64)]) -> u64 {
-    intervals.iter().map(|(s, e)| e - s).sum()
-}
-
-fn materialized_union_busy(intervals: &[(u64, u64)], shift: u64, copies: u64) -> u64 {
-    let mut all = Vec::with_capacity(intervals.len() * copies as usize);
-    for c in 0..copies {
-        let off = shift * c;
-        all.extend(intervals.iter().map(|(s, e)| (s + off, e + off)));
-    }
-    busy_of(&merge_intervals(all))
-}
-
-/// Exact busy ticks of the union of `m` copies of `intervals`, copy `c`
-/// shifted by `c × shift` ticks.
-///
-/// Beyond the overlap depth `q` (once a copy no longer overlaps copy 0),
-/// each additional copy adds a constant number of busy ticks, so the
-/// union is evaluated by materialising `min(m, q)` copies and
-/// extrapolating: `busy(m) = busy(q) + (m − q) × (busy(q) − busy(q−1))`.
-fn shifted_union_busy(intervals: &[(u64, u64)], shift: u64, m: u64) -> u64 {
-    if m == 0 || intervals.is_empty() {
-        return 0;
-    }
-    if shift == 0 {
-        // all copies coincide
-        return busy_of(intervals);
-    }
-    let span = intervals.last().expect("nonempty").1 - intervals.first().expect("nonempty").0;
-    let q = (span / shift + 2).min(m);
-    if q == m {
-        return materialized_union_busy(intervals, shift, m);
-    }
-    let busy_q = materialized_union_busy(intervals, shift, q);
-    let busy_q1 = materialized_union_busy(intervals, shift, q - 1);
-    busy_q + (m - q) * (busy_q - busy_q1)
 }
 
 #[cfg(test)]
@@ -964,26 +764,16 @@ mod tests {
     }
 
     #[test]
-    fn sink_streams_records_and_counts_events() {
+    fn sink_folds_lanes_and_counts_events() {
         let mut sink = TelemetrySink::new();
-        sink.on_event(EngineEvent::Attached {
-            backend: BackendKind::Compiled,
-            nodes: 4,
-            ff_eligible: true,
+        sink.record_lane(&[rec(0, 0, 10, 100), rec(1, 2, 6, 50)]);
+        sink.record_events(EventCounters {
+            offers: 1,
+            output_acks: 1,
+            promotions: 1,
+            ..EventCounters::default()
         });
-        sink.on_records(0, &[rec(0, 0, 10, 100), rec(1, 2, 6, 50)]);
-        sink.on_event(EngineEvent::Offer {
-            k: 0,
-            lane: 0,
-            replayed: false,
-        });
-        sink.on_event(EngineEvent::OutputAck { k: 0 });
-        sink.on_event(EngineEvent::FfPromoted {
-            k: 5,
-            lane: 0,
-            growth: 7,
-            period: 2,
-        });
+        sink.regimes.push((7, 2));
         let snap = sink.snapshot();
         assert_eq!(snap.events.offers, 1);
         assert_eq!(snap.events.output_acks, 1);
@@ -995,23 +785,12 @@ mod tests {
     }
 
     #[test]
-    fn sink_reset_seals_time_axis() {
+    fn each_lane_is_its_own_time_axis() {
         let mut sink = TelemetrySink::new();
-        sink.on_records(0, &[rec(0, 100, 110, 1)]);
-        sink.on_event(EngineEvent::Reset);
-        // new scenario starts earlier on its own axis: not out of order
-        sink.on_records(0, &[rec(0, 0, 10, 1)]);
-        let snap = sink.snapshot();
-        assert_eq!(snap.resources[0].busy_ticks, 20);
-        assert_eq!(snap.resources[0].out_of_order, 0);
-    }
-
-    #[test]
-    fn sink_lanes_have_independent_frontiers() {
-        let mut sink = TelemetrySink::new();
-        sink.on_records(0, &[rec(0, 50, 60, 1)]);
-        sink.on_records(1, &[rec(0, 0, 10, 1)]); // earlier, different lane
-        sink.on_records(0, &[rec(0, 60, 70, 1)]);
+        sink.record_lane(&[rec(0, 50, 60, 1), rec(0, 60, 70, 1)]);
+        // The next lane (or scenario) starts earlier on its own axis: not
+        // out of order.
+        sink.record_lane(&[rec(0, 0, 10, 1)]);
         let snap = sink.snapshot();
         assert_eq!(snap.resources[0].busy_ticks, 30);
         assert_eq!(snap.resources[0].out_of_order, 0);
@@ -1019,19 +798,18 @@ mod tests {
 
     #[test]
     fn shard_merge_matches_single_sink() {
+        let offer = EventCounters {
+            offers: 1,
+            ..EventCounters::default()
+        };
         let mut a = TelemetrySink::new();
-        a.on_records(0, &[rec(0, 0, 10, 5)]);
-        a.on_event(EngineEvent::Offer {
-            k: 0,
-            lane: 0,
-            replayed: false,
-        });
+        a.record_lane(&[rec(0, 0, 10, 5)]);
+        a.record_events(offer);
         let mut b = TelemetrySink::new();
-        b.on_records(0, &[rec(0, 0, 20, 7)]);
-        b.on_event(EngineEvent::Offer {
-            k: 0,
-            lane: 0,
-            replayed: true,
+        b.record_lane(&[rec(0, 0, 20, 7)]);
+        b.record_events(EventCounters {
+            replayed_offers: 1,
+            ..offer
         });
         a.merge(b);
         let snap = a.snapshot();
@@ -1048,13 +826,7 @@ mod tests {
             nodes_computed: 98,
             ..EngineCounters::default()
         });
-        for k in 0..2 {
-            sink.on_event(EngineEvent::Offer {
-                k,
-                lane: 0,
-                replayed: false,
-            });
-        }
+        sink.boundary_events = 2;
         let snap = sink.snapshot();
         assert_eq!(snap.event_ratio(), Some(50.0));
         assert_eq!(TelemetrySink::new().snapshot().event_ratio(), None);
@@ -1063,15 +835,15 @@ mod tests {
     #[test]
     fn snapshot_merge_matches_sink_merge() {
         let mut a = TelemetrySink::new();
-        a.on_records(0, &[rec(0, 0, 10, 5)]);
+        a.record_lane(&[rec(0, 0, 10, 5)]);
         a.record_serve(ServeCounters {
             requests: 3,
             rejected: 1,
             ..ServeCounters::default()
         });
         let mut b = TelemetrySink::new();
-        b.on_records(0, &[rec(0, 0, 20, 7)]);
-        b.on_records(0, &[rec(1, 5, 9, 2)]);
+        b.record_lane(&[rec(0, 0, 20, 7)]);
+        b.record_lane(&[rec(1, 5, 9, 2)]);
         b.record_serve(ServeCounters {
             requests: 4,
             lanes_batched: 4,
@@ -1096,7 +868,7 @@ mod tests {
     #[test]
     fn snapshot_merge_into_empty_is_identity() {
         let mut sink = TelemetrySink::new();
-        sink.on_records(0, &[rec(2, 0, 10, 5)]);
+        sink.record_lane(&[rec(2, 0, 10, 5)]);
         sink.record_serve(ServeCounters {
             responses: 9,
             ..ServeCounters::default()
@@ -1110,38 +882,10 @@ mod tests {
     #[test]
     fn snapshot_json_renders() {
         let mut sink = TelemetrySink::new();
-        sink.on_records(0, &[rec(0, 0, 10, 100)]);
+        sink.record_lane(&[rec(0, 0, 10, 100)]);
         let doc = sink.snapshot().to_json().render();
         assert!(doc.contains("\"busy_ticks\":10"));
         assert!(doc.contains("\"event_ratio\":null"));
-    }
-
-    #[test]
-    fn period_fold_matches_brute_force_small() {
-        // One period: busy [0,10) ∪ [15,20), growth 8 → copies overlap.
-        let records = [rec(0, 0, 10, 100), rec(0, 15, 20, 50)];
-        let usage = PeriodUsage::from_records(&records, 8);
-        for m in 1..=50u64 {
-            let folded = usage.fold(m);
-            let mut all = Vec::new();
-            for c in 0..m {
-                all.push(rec(0, 8 * c, 10 + 8 * c, 100));
-                all.push(rec(0, 15 + 8 * c, 20 + 8 * c, 50));
-            }
-            let trace = evolve_model::ResourceTrace::from_records(&all, ResourceId::from_index(0));
-            assert_eq!(folded[0].busy_ticks, trace.busy_ticks(), "m={m}");
-            assert_eq!(folded[0].ops, 150 * m);
-            assert_eq!(folded[0].records, 2 * m);
-            assert_eq!(folded[0].durations.count(), 2 * m);
-        }
-    }
-
-    #[test]
-    fn period_fold_zero_growth_and_zero_periods() {
-        let records = [rec(0, 0, 10, 1)];
-        let usage = PeriodUsage::from_records(&records, 0);
-        assert_eq!(usage.fold(5)[0].busy_ticks, 10);
-        assert_eq!(usage.fold(0)[0].busy_ticks, 0);
     }
 
     proptest! {
@@ -1164,27 +908,6 @@ mod tests {
                 evolve_model::ResourceTrace::from_records(&records, ResourceId::from_index(0));
             prop_assert_eq!(rm.out_of_order, 0);
             prop_assert_eq!(rm.busy_ticks(), trace.busy_ticks());
-        }
-
-        #[test]
-        fn prop_period_fold_matches_brute_force(
-            spans in proptest::collection::vec((0u64..200, 1u64..60), 1..8),
-            shift in 0u64..250,
-            m in 1u64..120,
-        ) {
-            let records: Vec<ExecRecord> =
-                spans.iter().map(|(s, w)| rec(0, *s, s + w, 1)).collect();
-            let usage = PeriodUsage::from_records(&records, shift);
-            let folded = usage.fold(m);
-            let mut all = Vec::new();
-            for c in 0..m {
-                for (s, w) in &spans {
-                    all.push(rec(0, s + shift * c, s + w + shift * c, 1));
-                }
-            }
-            let trace =
-                evolve_model::ResourceTrace::from_records(&all, ResourceId::from_index(0));
-            prop_assert_eq!(folded[0].busy_ticks, trace.busy_ticks());
         }
     }
 }

@@ -95,6 +95,7 @@ fn populated() -> MetricsSnapshot {
             overflows: 610,
             resets: 611,
         },
+        boundary_events: 1208,
         regimes: vec![(7, 2), (12, 3)],
         resources: vec![ResourceSnapshot {
             resource: 3,

@@ -77,7 +77,8 @@ pub struct ServeConfig {
     /// caches — the strategy the affinity-batched path is measured
     /// against.
     pub naive: bool,
-    /// Attach per-shard telemetry sinks (feeds `/metrics`).
+    /// Keep per-shard telemetry sinks, filled after each drive (feeds
+    /// `/metrics`).
     pub telemetry: bool,
     /// Always-on request-lifecycle flight recorder (per-shard span rings
     /// + per-phase latency histograms). Disable to measure its cost.

@@ -22,8 +22,8 @@ use evolve_explore::cache::{
 use evolve_explore::{ModelSpec, ScenarioOutcome};
 use evolve_model::Arrival;
 use evolve_obs::{
-    BatchCounters, DeltaCounters, FlightRecorder, MetricsSnapshot, Phase, ServeCounters,
-    TelemetrySink, TrackId,
+    BatchCounters, DeltaCounters, EventCounters, FlightRecorder, MetricsSnapshot, Phase,
+    ServeCounters, TelemetrySink, TrackId,
 };
 
 use crate::net::Conn;
@@ -282,6 +282,10 @@ impl Worker {
                         eject_unsupported: n as u64,
                         ..BatchCounters::default()
                     });
+                    sink.record_events(EventCounters {
+                        lane_ejections: n as u64,
+                        ..EventCounters::default()
+                    });
                 }
                 for job in jobs {
                     self.eval_scalar(spec, job, n as u32);
@@ -289,8 +293,6 @@ impl Worker {
                 return;
             }
         };
-        let before_iters = prepared.engine.stats().batched_iterations;
-        let before_kernel = prepared.engine.kernel_dispatch();
         let traces: Vec<&[Arrival]> = jobs.iter().map(|j| j.arrivals.as_slice()).collect();
         let eval_start = self.flight_now();
         let (outcomes, _reused, _wall) = drive_prepared_batch(&mut prepared, &traces, &mut self.sink);
@@ -303,31 +305,21 @@ impl Worker {
             }
         }
         if let Some(sink) = self.sink.as_deref_mut() {
-            let after_kernel = prepared.engine.kernel_dispatch();
+            // A drive starts on a fresh or reset engine: its counters are
+            // this batch's.
+            let kernel = prepared.engine.kernel_dispatch();
             sink.record_batch(BatchCounters {
                 batch_width: self.cfg.batch_width as u64,
                 batches_formed: 1,
                 lanes_batched: n as u64,
-                lockstep_iterations: prepared
-                    .engine
-                    .stats()
-                    .batched_iterations
-                    .saturating_sub(before_iters),
-                kernel_chunked_sweeps: after_kernel
-                    .chunked_sweeps
-                    .saturating_sub(before_kernel.chunked_sweeps),
-                kernel_scalar_sweeps: after_kernel
-                    .scalar_sweeps
-                    .saturating_sub(before_kernel.scalar_sweeps),
+                lockstep_iterations: prepared.engine.stats().batched_iterations,
+                kernel_chunked_sweeps: kernel.chunked_sweeps,
+                kernel_scalar_sweeps: kernel.scalar_sweeps,
                 ..BatchCounters::default()
             });
         }
         for (lane, (job, outcome)) in jobs.into_iter().zip(outcomes).enumerate() {
             let ff = prepared.engine.lane_fast_forward_stats(lane);
-            if let Some(sink) = self.sink.as_deref_mut() {
-                sink.record_engine(outcome.engine_stats);
-                sink.record_ff(ff.counters);
-            }
             self.counters.lanes_batched += 1;
             let resp = eval_ok(job.id, &outcome, ff, None, true, n as u32);
             self.respond(&job.writer, &Response::EvalOk(resp), job.corr);
@@ -366,10 +358,6 @@ impl Worker {
             delta,
             ..
         } = drive;
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record_engine(outcome.engine_stats);
-            sink.record_ff(fast_forward.counters);
-        }
         let mut attached: Option<DeltaStats> = None;
         match delta {
             DeltaLaneOutcome::Captured(cache) => {

@@ -157,6 +157,60 @@ fn metrics_listener_serves_prometheus_text() {
     server.shutdown_and_join();
 }
 
+/// Lifecycle event counters on `/metrics` come from each drive's results:
+/// every arrival sent is one `offer`, every drive on the shard's reused
+/// engine one `reset`, and boundary events are arrivals plus output
+/// writes.
+#[test]
+fn event_counters_count_offers_and_resets_of_every_drive() {
+    let server = Server::start(
+        ServeConfig {
+            shards: 1,
+            batch_width: 1,
+            ..ServeConfig::default()
+        },
+        &[Bind::Tcp("127.0.0.1:0".into())],
+        Some("127.0.0.1:0"),
+    )
+    .unwrap();
+    let mut client = ServeClient::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+    let (mut arrivals, mut outputs) = (0, 0);
+    for id in 0..4 {
+        match client.call(&eval(id)).unwrap() {
+            Response::EvalOk(ok) => {
+                arrivals += ok.input_acks.len();
+                outputs += ok.outputs.len();
+            }
+            other => panic!("expected EvalOk, got {other:?}"),
+        }
+    }
+    assert_eq!(arrivals, 4 * 8, "every generated token was offered");
+
+    let metrics_addr = server.metrics_addr().unwrap();
+    let offers = format!("evolve_events_total{{kind=\"offer\"}} {arrivals}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let body = loop {
+        let body = http_get(&metrics_addr.to_string(), "/metrics");
+        if body.contains(&offers) || Instant::now() > deadline {
+            break body;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    assert!(body.contains(&offers), "{body}");
+    let attaches = "evolve_events_total{kind=\"attach\"} 4";
+    assert!(body.contains(attaches), "{body}");
+    let resets: u64 = body
+        .lines()
+        .find_map(|l| l.strip_prefix("evolve_events_total{kind=\"reset\"} "))
+        .expect("reset series exported")
+        .parse()
+        .unwrap();
+    assert!(resets >= 1, "reused-engine drives count resets: {body}");
+    let boundary = format!("evolve_boundary_events_total {}", arrivals + outputs);
+    assert!(body.contains(&boundary), "{body}");
+    server.shutdown_and_join();
+}
+
 fn http_get(addr: &str, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("metrics listener reachable");
     stream
