@@ -11,6 +11,11 @@ cargo build --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The end-to-end benchmark (`perfbench/`, its own workspace) links the
+# library crates by path: building it here makes removing an API it
+# calls fail CI rather than the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Batched-lane conformance: the lockstep engine must stay bitwise
 # identical to the scalar backends across widths, lane mixes, and the
 # ejection path (also part of the workspace run above; kept explicit so a
@@ -23,14 +28,6 @@ cargo test -q -p evolve-core --test batch_conformance --offline
 # explicit so a fast-forward regression is named in the CI log).
 cargo test -q -p evolve-core --test periodic_conformance --offline
 
-# Delta conformance: sibling scenarios evaluated as a delta against a
-# captured base must stay bitwise identical to the full compiled sweep
-# (record order and all counters included) and multiset-identical to the
-# worklist, across perturbation families and the typed negative paths
-# (also part of the workspace run above; kept explicit so a delta
-# regression is named in the CI log).
-cargo test -q -p evolve-core --test delta_conformance --offline
-
 # Telemetry conformance: sink usage and exported Perfetto intervals,
 # built from a drive's execution records, must match ResourceTrace exactly
 # on promoted scenarios, and the drive's counters must match the engine's
@@ -39,12 +36,9 @@ cargo test -q -p evolve-core --test delta_conformance --offline
 cargo test -q -p evolve-core --test telemetry_conformance --offline
 
 # Bench smoke: the compiled backend must beat the worklist reference, the
-# batched engine must beat one-lane evaluation, periodic fast-forward
-# must beat the plain sweep on a 1000-node synthetic graph, and delta
-# replay of an identical sibling must beat the full compiled sweep
-# (bounded iterations; asserts the ratios > 1 and checksum conformance).
-# The quick run also re-evaluates the default 256-scenario sweep grid
-# with delta chaining on and off and asserts checksum-identical outputs.
+# batched engine must beat one-lane evaluation, and periodic fast-forward
+# must beat the plain sweep on a 1000-node synthetic graph (bounded
+# iterations; asserts the ratios > 1 and checksum conformance).
 # Also the compiled-path overhead gate: the compiled hot path must keep
 # its compiled/worklist cost ratio within EVOLVE_OVERHEAD_TOLERANCE (default 10%) of the
 # committed results/bench_engine.json baseline's ratio, the width-8

@@ -14,10 +14,9 @@
 //! A second grid compares the engine's evaluation backends (worklist vs.
 //! compiled CSR sweep) directly — per-iteration `ComputeInstant()` cost at
 //! 10/100/1000/5000 nodes — a third measures the periodic
-//! steady-state fast-forward (O(1) template replay vs the full sweep), and
-//! and a fourth measures delta evaluation against a captured sibling
-//! cache; all are written to `results/bench_engine.json`, stamped with
-//! the host (cores, SIMD level, build profile).
+//! steady-state fast-forward (O(1) template replay vs the full sweep); all
+//! are written to `results/bench_engine.json`, stamped with the host
+//! (cores, SIMD level, build profile).
 //!
 //! Usage: `fig5 [tokens] [dispatch_cost_ns] [threads] [--quick]
 //! [--metrics PATH] [--trace PATH]`
@@ -25,10 +24,8 @@
 //! `--quick` is the CI smoke mode: it skips the conventional-reference
 //! sweep and runs only the grids' 1000-node points with a bounded
 //! iteration budget (asserting compiled > worklist, batched > scalar,
-//! fast-forward > sweep, delta > full, that a delta-chained sweep over the
-//! default 256-scenario grid is bitwise identical to the full compiled
-//! path, that a width-8 batch actually dispatches to the lane-chunked
-//! fold kernels, that the compiled/worklist cost ratio
+//! fast-forward > sweep, that a width-8 batch actually dispatches to the
+//! lane-chunked fold kernels, that the compiled/worklist cost ratio
 //! stays within `EVOLVE_OVERHEAD_TOLERANCE` — default 10% — of the
 //! committed `results/bench_engine.json` baseline's ratio, and that the
 //! width-8 batching gain stays within `EVOLVE_BATCH_TOLERANCE` — default
@@ -41,13 +38,13 @@
 use std::path::PathBuf;
 
 use evolve_bench::{
-    backend_grid, batch_grid, delta_grid, ff_grid, format_row, header, sweep_measurements,
-    total_engine_stats, write_backend_report, BackendPoint, BatchPoint, DeltaPoint, FfPoint,
+    backend_grid, batch_grid, ff_grid, format_row, header, sweep_measurements, total_engine_stats,
+    write_backend_report, BackendPoint, BatchPoint, FfPoint,
 };
 use evolve_core::{derive_tdg, synthetic};
 use evolve_explore::{
-    default_grid, run_sweep, trace_scenario, ModelKind, ModelSpec, ScenarioSpec, SweepConfig,
-    SweepReport, TraceSpec,
+    run_sweep, trace_scenario, ModelKind, ModelSpec, ScenarioSpec, SweepConfig, SweepReport,
+    TraceSpec,
 };
 
 fn backend_section(targets: &[usize], budget: u64, reps: usize) -> Vec<BackendPoint> {
@@ -117,76 +114,14 @@ fn ff_section(targets: &[usize], budget: u64, reps: usize) -> Vec<FfPoint> {
     points
 }
 
-/// Full-evaluation cost against a sibling diffing the captured base cache;
-/// the `gain` column is full over delta cost per iteration (> 1 means
-/// delta evaluation pays).
-fn delta_section(targets: &[usize], budget: u64, reps: usize) -> Vec<DeltaPoint> {
-    println!("== delta evaluation: sibling cache replay vs full compiled sweep ==");
-    println!(
-        "{:>7} {:>12} {:>15} {:>15} {:>8} {:>8}",
-        "nodes", "iterations", "full ns/it", "delta ns/it", "reused", "gain"
-    );
-    let points = delta_grid(targets, budget, reps);
-    for p in &points {
-        println!(
-            "{:>7} {:>12} {:>15.1} {:>15.1} {:>8.2} {:>8.2}",
-            p.nodes,
-            p.iterations,
-            p.compiled_ns,
-            p.delta_ns,
-            p.reused_fraction,
-            p.gain()
-        );
-    }
-    points
-}
-
-/// The delta-chained sweep conformance gate: the default sibling-heavy
-/// scenario grid evaluated with delta chaining on must be bitwise
-/// identical — outcomes and output-instant checksum — to the same sweep
-/// with chaining off, and chains must actually have formed.
-fn delta_sweep_gate(count: u64, tokens: u64, threads: usize) {
-    let scenarios = default_grid(count, tokens);
-    let base = SweepConfig { threads, batch_width: 1, ..SweepConfig::default() };
-    let on = run_sweep(&scenarios, &SweepConfig { delta: true, ..base.clone() });
-    let off = run_sweep(&scenarios, &SweepConfig { delta: false, ..base });
-    let checksum = |r: &evolve_explore::SweepReport| {
-        r.scenarios
-            .iter()
-            .flat_map(|s| s.outcome.outputs.iter())
-            .fold(0u64, |acc, &(_, y, _)| acc.wrapping_add(y))
-    };
-    assert!(
-        on.delta.lanes_delta > 0,
-        "no delta lanes formed on the default grid: {:?}",
-        on.delta
-    );
-    for (a, b) in on.scenarios.iter().zip(&off.scenarios) {
-        assert_eq!(
-            a.outcome, b.outcome,
-            "delta chaining changed scenario {}",
-            a.label
-        );
-    }
-    assert_eq!(checksum(&on), checksum(&off), "delta sweep checksum diverged");
-    println!(
-        "delta sweep gate: {} scenarios, {} chains, {} delta lanes, checksum {:#x} — bitwise ok",
-        on.scenarios.len(),
-        on.delta.chains_formed,
-        on.delta.lanes_delta,
-        checksum(&on),
-    );
-}
-
 fn write_report(
     out: &str,
     points: &[BackendPoint],
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
-    delta_points: &[DeltaPoint],
 ) {
     let path = std::path::Path::new(out);
-    write_backend_report(path, points, batch_points, ff_points, delta_points)
+    write_backend_report(path, points, batch_points, ff_points)
         .expect("backend report written");
     println!("engine grids written to {}", path.display());
 }
@@ -252,9 +187,10 @@ fn write_telemetry(
 /// array — the report format is written by this binary, so the shape is
 /// known).
 fn baseline_backend_ns(report: &str) -> Option<(f64, f64)> {
-    // Restrict to the backend `points` array: `batch_points`/`ff_points`/
-    // `delta_points` repeat the `"nodes":1000` key with different fields
-    // (and `delta_points` even repeats `compiled_ns_per_iter`).
+    // Restrict to the backend `points` array: `batch_points`/`ff_points`
+    // (and the committed baseline's historical `delta_points`) repeat the
+    // `"nodes":1000` key with different fields, some of them
+    // `compiled_ns_per_iter` again.
     let points = &report[..report.find("\"batch_points\"").unwrap_or(report.len())];
     let at = points.find("\"nodes\":1000,")?;
     let rest = &points[at..];
@@ -313,7 +249,7 @@ fn overhead_gate(p: &BackendPoint) {
 
 /// Pulls `ns_per_lane_iter` for one `(nodes, width)` cell out of the
 /// committed artifact's `batch_points` section (same flat-scan approach as
-/// [`baseline_compiled_ns`]).
+/// [`baseline_backend_ns`]).
 fn baseline_batch_ns(report: &str, nodes: u64, width: u64) -> Option<f64> {
     let start = report.find("\"batch_points\"")?;
     let section = &report[start..];
@@ -468,31 +404,17 @@ fn main() {
             f.fast_forward_ns,
             f.compiled_ns
         );
-        // Delta smoke: the grid asserts checksum conformance and frontier
-        // collapse internally; the gate here is the sibling-replay benefit.
-        let delta_points = delta_section(&[1_000], 2_000_000, 2);
-        let d = &delta_points[0];
-        assert!(
-            d.gain() > 1.0,
-            "delta sibling slower than the full sweep at {} nodes ({:.1} vs {:.1} ns/it)",
-            d.nodes,
-            d.delta_ns,
-            d.compiled_ns
-        );
-        delta_sweep_gate(256, tokens.min(200), threads);
         write_report(
             "results/bench_engine_smoke.json",
             &points,
             &batch_points,
             &ff_points,
-            &delta_points,
         );
         println!(
-            "quick mode: compiled backend {:.2}x, batch width 8 {:.2}x, fast-forward {:.2}x, delta {:.2}x at {} nodes — ok",
+            "quick mode: compiled backend {:.2}x, batch width 8 {:.2}x, fast-forward {:.2}x at {} nodes — ok",
             p.speedup(),
             gain,
             f.gain(),
-            d.gain(),
             p.nodes
         );
         write_telemetry(metrics.as_ref(), trace.as_ref(), None, tokens.min(500));
@@ -602,18 +524,6 @@ fn main() {
     let ff_points = ff_section(&[10, 100, 1_000, 5_000], 10_000_000, 3);
     println!();
 
-    // The sibling-heavy sweep headline: a delta sibling answers each
-    // iteration from the base cache instead of sweeping the graph.
-    let delta_points = delta_section(&[10, 100, 1_000, 5_000], 2_000_000, 3);
-    println!();
-
-    delta_sweep_gate(256, tokens.min(200), threads);
-    write_report(
-        "results/bench_engine.json",
-        &points,
-        &batch_points,
-        &ff_points,
-        &delta_points,
-    );
+    write_report("results/bench_engine.json", &points, &batch_points, &ff_points);
     write_telemetry(metrics.as_ref(), trace.as_ref(), Some(&report), tokens.min(500));
 }

@@ -76,10 +76,8 @@ impl std::fmt::Display for EvalBackend {
 }
 
 /// Precompiled observation action of a node (what [`Engine::observe`]
-/// dispatches on — shared by both backends). `PartialEq` lets the delta
-/// attach gate (`delta::compute_seeds`) include observation actions in the
-/// structural comparison between a base and a sibling program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// dispatches on — shared by both backends).
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum Obs {
     None,
     Exchange {
@@ -470,7 +468,10 @@ impl CompiledTdg {
         segments
     }
 
-    /// Schedule slot `slot`.
+    /// Schedule slot `slot`, for the cold paths. The scalar sweep walks the
+    /// schedule with rolling CSR cursors instead and builds a [`Slot`] only
+    /// past its look-ahead skip test: building one per slot up front cost
+    /// 5–10% per iteration on Table I example 4.
     pub(crate) fn slot(&self, slot: usize) -> Slot {
         let range = |offsets: &[u32]| offsets[slot] as usize..offsets[slot + 1] as usize;
         Slot {
@@ -480,14 +481,6 @@ impl CompiledTdg {
             slows: range(&self.slow_offsets),
             execs: range(&self.exec_offsets),
         }
-    }
-
-    /// Every schedule slot in order, for the cold paths. The scalar sweeps
-    /// walk the schedule with rolling CSR cursors instead and build a
-    /// [`Slot`] only past their look-ahead skip test: building one per slot
-    /// up front cost 5–10% per iteration on Table I example 4.
-    pub(crate) fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
-        (0..self.schedule.len()).map(|slot| self.slot(slot))
     }
 
     /// Number of scheduled nodes.

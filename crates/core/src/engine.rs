@@ -33,16 +33,12 @@
 //! bitwise reference (see `tests/backend_conformance.rs`).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use evolve_des::{EventId, Time};
 use evolve_maxplus::MaxPlus;
 use evolve_model::ExecRecord;
 
 use crate::compile::{lower_node_meta, CompiledTdg, EvalBackend, Obs, Slot};
-use crate::delta::{
-    self, DeltaCache, DeltaCaptureState, DeltaLink, DeltaRow, DeltaStats, DeltaUnsupported,
-};
 use crate::derive::{DerivedTdg, SizeRule};
 use crate::error::EngineError;
 use crate::lane::{eval_weight, LaneLog, LaneState, Wake};
@@ -220,8 +216,8 @@ impl LaneState for RingLane<'_> {
 /// One slot of the scalar compiled sweep: folds the node's slow, exec and
 /// const arcs into its instant at iteration `k` (held outside the ring in
 /// `tail`; all dependencies are available), stores it with any exec stash,
-/// and returns it. The plain sweep folds every slot, the delta sweep its
-/// dirty ones; both mark the whole tail computed once the walk ends.
+/// and returns it. The compiled sweep folds every slot not yet computed
+/// and marks the whole tail computed once the walk ends.
 #[inline(always)]
 fn fold_slot(
     ct: &CompiledTdg,
@@ -402,11 +398,6 @@ pub struct Engine {
     ff_scratch: Vec<u64>,
     /// Reusable two-pass extrapolation scratch (reconstructed accumulators).
     ff_acc_scratch: Vec<i64>,
-    /// Attached delta base: the engine evaluates as a *sibling* of a cached
-    /// base run, diffing fold inputs instead of recomputing clean nodes.
-    delta: Option<Box<DeltaLink>>,
-    /// In-progress base capture for [`Engine::finish_delta_capture`].
-    delta_capture: Option<Box<DeltaCaptureState>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -545,8 +536,6 @@ impl Engine {
             ff_stats_mark: EngineStats::default(),
             ff_scratch: Vec::new(),
             ff_acc_scratch: Vec::new(),
-            delta: None,
-            delta_capture: None,
             tdg,
         }
     }
@@ -624,126 +613,6 @@ impl Engine {
         self.periodic.as_ref().map(|p| p.stats()).unwrap_or_default()
     }
 
-    /// Structural eligibility for delta evaluation, shared by capture and
-    /// attach: the compiled sweep (delta is a mode of it), a single external
-    /// input (cached rows are indexed by that input's iteration), and no
-    /// acknowledgment feedback (acks mutate completed iterations, which
-    /// would stale captured rows).
-    fn delta_eligible(&self) -> Result<(), DeltaUnsupported> {
-        if self.compiled.is_none() {
-            return Err(DeltaUnsupported::WorklistBackend);
-        }
-        if self.tdg.inputs.len() != 1 {
-            return Err(DeltaUnsupported::MultiInput {
-                inputs: self.tdg.inputs.len(),
-            });
-        }
-        if self.has_output_acks {
-            return Err(DeltaUnsupported::OutputAcks);
-        }
-        Ok(())
-    }
-
-    /// Starts recording this engine's run as a delta *base*: after each
-    /// fast-path offer the finished iteration's instants, sizes, and exec
-    /// stashes are cloned into the cache under construction. Capture stops
-    /// silently (keeping the rows recorded so far) if an offer leaves the
-    /// fast path — delta siblings then evaluate the uncovered iterations
-    /// fully.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after offers have started: capture covers a run
-    /// from iteration 0 (call right after construction or [`Engine::reset`]).
-    pub fn begin_delta_capture(&mut self) -> Result<(), DeltaUnsupported> {
-        self.delta_eligible()?;
-        assert!(
-            self.next_input_k.iter().all(|&k| k == 0),
-            "begin the delta capture before offering inputs"
-        );
-        self.delta = None;
-        self.delta_capture = Some(Box::new(DeltaCaptureState {
-            rows: Vec::new(),
-            offers: Vec::new(),
-            active: true,
-        }));
-        Ok(())
-    }
-
-    /// Freezes the capture started by [`Engine::begin_delta_capture`] into
-    /// a shareable [`DeltaCache`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no capture is in progress.
-    pub fn finish_delta_capture(&mut self) -> Arc<DeltaCache> {
-        let cap = self
-            .delta_capture
-            .take()
-            .expect("no delta capture in progress");
-        Arc::new(DeltaCache {
-            rows: cap.rows,
-            offers: cap.offers,
-            compiled: self.compiled.clone().expect("capture gated on compiled"),
-            record_observations: self.record_observations,
-            relation_count: self.relation_count,
-            size_rules: self.size_rules.clone(),
-        })
-    }
-
-    /// Attaches a base cache: subsequent offers within the cached range
-    /// evaluate as a delta against the base — nodes whose fold inputs match
-    /// the cached row copy their instant, only the change frontier
-    /// recomputes, and a recomputed instant equal to the cache settles the
-    /// frontier (max-plus monotonicity: equal inputs give equal folds).
-    /// Everything observable stays bitwise identical to a full evaluation.
-    ///
-    /// The sibling's compiled program must be structurally identical to the
-    /// base's (same schedule, arc streams, observation actions, and size
-    /// rules); only constant lags and exec weights may differ. Anything
-    /// else is rejected as [`DeltaUnsupported::StructureMismatch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after offers have started.
-    pub fn attach_delta_base(&mut self, cache: Arc<DeltaCache>) -> Result<(), DeltaUnsupported> {
-        self.delta_eligible()?;
-        let compiled = self.compiled.as_ref().expect("just checked");
-        if cache.record_observations != self.record_observations
-            || cache.relation_count != self.relation_count
-            || cache.size_rules != self.size_rules
-        {
-            return Err(DeltaUnsupported::StructureMismatch);
-        }
-        let (seeds, seed_count) = delta::compute_seeds(&cache.compiled, compiled)?;
-        let collapse = delta::CollapsePlan::build(compiled, self.tdg.inputs[0].index());
-        assert!(
-            self.next_input_k.iter().all(|&k| k == 0),
-            "attach the delta base before offering inputs"
-        );
-        self.delta_capture = None;
-        self.delta = Some(Box::new(DeltaLink {
-            cache,
-            seeds,
-            seed_count,
-            offers_matched: true,
-            collapse,
-            stats: DeltaStats::default(),
-        }));
-        Ok(())
-    }
-
-    /// Detaches the base cache and returns the delta work counters
-    /// (defaults when no base was attached).
-    pub fn detach_delta(&mut self) -> DeltaStats {
-        self.delta.take().map(|l| l.stats).unwrap_or_default()
-    }
-
-    /// Delta work counters so far (all zero while no base is attached).
-    pub fn delta_stats(&self) -> DeltaStats {
-        self.delta.as_ref().map(|l| l.stats).unwrap_or_default()
-    }
-
     /// Rewinds the engine to its just-constructed state while keeping every
     /// allocation: ring-buffer iteration states move to the free list, logs
     /// and statistics clear in place, and the derived graph (with all its
@@ -774,9 +643,6 @@ impl Engine {
         if let Some(pd) = &mut self.periodic {
             pd.reset();
         }
-        // Delta state is per-scenario: re-attach (or re-capture) after reset.
-        self.delta = None;
-        self.delta_capture = None;
     }
 
     /// A snapshot of the engine's allocation footprint, for asserting
@@ -866,15 +732,6 @@ impl Engine {
         let NodeKind::Input { relation } = self.tdg.nodes[node.index()].kind else {
             unreachable!()
         };
-        // Delta collapse precondition: offers 0..=k matched the base trace.
-        // Tracked before anything answers the offer — the flag must reflect
-        // fast-forwarded offers too.
-        if let Some(link) = &mut self.delta {
-            if link.offers_matched {
-                link.offers_matched = (k as usize) < link.cache.offers.len()
-                    && link.cache.offers[k as usize] == (at.ticks(), size);
-            }
-        }
         // Promoted fast-forward: answer the offer by shifting the cached
         // periodic template; an offer off the detected pattern demotes (the
         // ring is reconstructed from the template) and falls through to the
@@ -885,11 +742,6 @@ impl Engine {
             self.periodic = Some(pd);
             if outcome? {
                 self.next_input_k[input] = k + 1;
-                // A replayed offer leaves no ring state to clone: the
-                // capture stops extending here.
-                if let Some(cap) = &mut self.delta_capture {
-                    cap.active = false;
-                }
                 return Ok(());
             }
         }
@@ -924,24 +776,8 @@ impl Engine {
                 self.log.mark();
                 self.ff_stats_mark = self.stats;
             }
-            // Delta mode: within the cached range, diff against the base
-            // row instead of recomputing every node. Beyond it (or with no
-            // base attached) the ordinary full sweep runs — both leave
-            // bitwise-identical ring state, so the modes interleave freely.
-            let use_delta = self
-                .delta
-                .as_ref()
-                .is_some_and(|l| (k as usize) < l.cache.rows.len());
-            if use_delta {
-                self.compute_iteration_delta(k, node, relation.index(), at, size);
-            } else {
-                if let Some(link) = &mut self.delta {
-                    link.stats.calls_full += 1;
-                }
-                self.compute_iteration_compiled(k, node, relation.index(), at, size);
-            }
+            self.compute_iteration_compiled(k, node, relation.index(), at, size);
             self.ensure_lookahead();
-            self.delta_capture_row(k, at, size);
             if self.periodic.is_some() {
                 let mut pd = self.periodic.take().expect("just checked");
                 self.ff_observe(&mut pd, k, at, size, capture);
@@ -954,14 +790,6 @@ impl Engine {
         // in-progress detection restarts from scratch.
         if let Some(pd) = &mut self.periodic {
             pd.abandon();
-        }
-        // Worklist fallback: correct but row-less — the capture stops
-        // extending, and a linked sibling counts a full evaluation.
-        if let Some(cap) = &mut self.delta_capture {
-            cap.active = false;
-        }
-        if let Some(link) = &mut self.delta {
-            link.stats.calls_full += 1;
         }
         self.open_to(k);
         {
@@ -1040,7 +868,7 @@ impl Engine {
         let mut nodes_local = 1u64;
         let mut arcs_local = 0u64;
         // Rolling CSR cursors; a `Slot` is built only past the look-ahead
-        // skip (see `CompiledTdg::slots`).
+        // skip (see `CompiledTdg::slot`).
         let mut clo = ct.const_offsets[0] as usize;
         let mut slo = ct.slow_offsets[0] as usize;
         let mut elo = ct.exec_offsets[0] as usize;
@@ -1083,232 +911,6 @@ impl Engine {
         self.stats.arcs_evaluated += arcs_local;
         self.ring.push_back(tail);
         self.compiled = Some(ct);
-    }
-
-    /// Clones the just-finished fast-path iteration `k` into the capture
-    /// under construction. Called after `ensure_lookahead` (so iteration
-    /// `k` is final: without output acks nothing mutates it later) and
-    /// before `maybe_prune` (so it is still in the ring).
-    fn delta_capture_row(&mut self, k: u64, at: Time, size: u64) {
-        let Some(cap) = &mut self.delta_capture else {
-            return;
-        };
-        if !cap.active {
-            return;
-        }
-        if cap.rows.len() as u64 != k {
-            cap.active = false;
-            return;
-        }
-        let Some(it) = iter_at(&self.ring, self.base_k, k) else {
-            cap.active = false;
-            return;
-        };
-        cap.rows.push(DeltaRow {
-            acc: it.acc.clone(),
-            sizes: it.sizes.clone(),
-            stash: it.exec_stash.clone(),
-        });
-        cap.offers.push((at.ticks(), size));
-    }
-
-    /// Evaluates iteration `k` as a *delta* against the attached base
-    /// cache: per schedule slot, the node's fold inputs (same-iteration and
-    /// delayed source instants, plus any token sizes its exec weights read)
-    /// are compared against the cached base row. Equal inputs ⇒ equal fold
-    /// (the (max,+) fold is a pure function of its inputs), so the node
-    /// copies its cached instant; a difference recomputes the exact
-    /// [`Engine::compute_iteration_compiled`] slot body, and a recomputed
-    /// instant that still matches the cache stops the change frontier
-    /// right there — downstream comparisons see no difference.
-    ///
-    /// Observation (sizes, logs, acks, outputs, exec records) runs live in
-    /// both branches, in schedule order, so emissions and [`EngineStats`]
-    /// are bitwise identical to a full evaluation.
-    ///
-    /// When the sibling has no seeded slots and every offer so far matched
-    /// the base trace, no comparison can ever differ: on a fresh tail the
-    /// sweep collapses to one bulk copy of the cached row plus the
-    /// observation calls (constants precomputed in
-    /// [`delta::CollapsePlan`]); a look-ahead-prefilled tail takes the
-    /// per-slot copy loop, still without any per-arc reads.
-    fn compute_iteration_delta(
-        &mut self,
-        k: u64,
-        input_node: NodeId,
-        input_relation: usize,
-        at: Time,
-        size: u64,
-    ) {
-        let fresh = k == self.base_k + self.ring.len() as u64;
-        let mut tail = self.open_tail(k, input_node, input_relation, at, size);
-        // Both the compiled program and the link move out of `self` for the
-        // sweep (observation mutates logs and the ring).
-        let ct = self.compiled.take().expect("compiled backend gated by fast_ok");
-        let mut link = self.delta.take().expect("delta link gated by use_delta");
-        let row = &link.cache.rows[k as usize];
-        let rows = &link.cache.rows;
-        let force_clean = link.seed_count == 0 && link.offers_matched;
-
-        if force_clean && fresh {
-            // Bulk collapse: on a fresh tail nothing was precomputed by the
-            // look-ahead, so every slot but the input's takes the clean
-            // branch — the sweep *is* the cached row. Copy it wholesale
-            // (the matching offer makes the input slot's value identical
-            // too) and run only the observation calls, in schedule order;
-            // the statistics the walk would have accumulated are the
-            // attach-time [`delta::CollapsePlan`] constants.
-            tail.acc.copy_from_slice(&row.acc);
-            tail.computed.fill(true);
-            if self.record_observations {
-                tail.exec_stash.copy_from_slice(&row.stash);
-            }
-            for &obs_node in &link.collapse.observed {
-                let node = obs_node as usize;
-                self.observe_tail(k, self.node_obs[node], row.acc[node], &mut tail);
-            }
-            self.stats.nodes_computed += link.collapse.nodes;
-            self.stats.arcs_evaluated += link.collapse.arcs;
-            self.ring.push_back(tail);
-            self.compiled = Some(ct);
-            link.stats.calls_delta += 1;
-            link.stats.nodes_reused += link.collapse.reused;
-            link.stats.frontier_collapses += 1;
-            self.delta = Some(link);
-            return;
-        }
-
-        tail.computed[input_node.index()] = true;
-        let mut nodes_local = 1u64;
-        let mut arcs_local = 0u64;
-        let mut reused = 0u64;
-        let mut recomputed = 0u64;
-        let mut settled = 0u64;
-        // The plain sweep's walk, zipped with each slot's seed.
-        let mut clo = ct.const_offsets[0] as usize;
-        let mut slo = ct.slow_offsets[0] as usize;
-        let mut elo = ct.exec_offsets[0] as usize;
-        let slots = ct
-            .schedule
-            .iter()
-            .zip(&ct.const_offsets[1..])
-            .zip(&ct.slow_offsets[1..])
-            .zip(&ct.exec_offsets[1..])
-            .zip(&ct.obs)
-            .zip(&link.seeds);
-        for (((((&slot_node, &chi), &shi), &ehi), &obs), &seeded) in slots {
-            let node = slot_node as usize;
-            let (chi, shi, ehi) = (chi as usize, shi as usize, ehi as usize);
-            let (c0, s0, e0) = (clo, slo, elo);
-            (clo, slo, elo) = (chi, shi, ehi);
-            if tail.computed[node] {
-                continue;
-            }
-            let slot = Slot {
-                node,
-                obs,
-                consts: c0..chi,
-                slows: s0..shi,
-                execs: e0..ehi,
-            };
-            // Stats accrue exactly as in the full sweep, clean or dirty:
-            // the conformance bar includes `EngineStats`.
-            nodes_local += 1;
-            arcs_local += slot.arcs();
-
-            // A live history read against the cached row. A pruned live
-            // iteration reads as ε exactly like the full sweep's defensive
-            // read; comparing it against the cached value is conservative
-            // (at worst a spurious recompute).
-            let (ring, base_k) = (&self.ring, self.base_k);
-            let acc_differs = |delay: u64, src: usize| {
-                delay <= k // before iteration 0 both sides are ε
-                    && iter_at(ring, base_k, k - delay).map_or(MaxPlus::E, |it| it.acc[src])
-                        != rows[(k - delay) as usize].acc[src]
-            };
-
-            let dirty = !force_clean
-                && (seeded
-                    // Same-iteration constant sources: live tail vs cached row.
-                    || ct.const_srcs[slot.consts.clone()]
-                        .iter()
-                        .any(|&src| tail.acc[src as usize] != row.acc[src as usize])
-                    // Delayed constant sources through the history ring.
-                    || slot.slows.clone().any(|i| {
-                        acc_differs(u64::from(ct.slow_delays[i]), ct.slow_srcs[i] as usize)
-                    })
-                    // Exec arcs: the source instant and every token size
-                    // the weight reads feed the fold.
-                    || slot.execs.clone().any(|i| {
-                        let delay = u64::from(ct.exec_delays[i]);
-                        let src = ct.exec_srcs[i] as usize;
-                        let src_differs = if delay == 0 {
-                            tail.acc[src] != row.acc[src]
-                        } else {
-                            acc_differs(delay, src)
-                        };
-                        src_differs
-                            || ct.exec_arcs[i].weight.execs.iter().any(|term| {
-                                let Some((rel, sd)) = term.size_from else {
-                                    return false;
-                                };
-                                let (rel, sd) = (rel.index(), u64::from(sd));
-                                if sd > k {
-                                    false // both sides read size 0
-                                } else if sd == 0 {
-                                    tail.sizes[rel] != row.sizes[rel]
-                                } else {
-                                    iter_at(ring, base_k, k - sd).map_or(0, |it| it.sizes[rel])
-                                        != rows[(k - sd) as usize].sizes[rel]
-                                }
-                            })
-                    }));
-
-            let acc = if dirty {
-                recomputed += 1;
-                let record = self.record_observations;
-                let acc = fold_slot(&ct, &slot, k, ring, base_k, record, &mut tail);
-                if acc == row.acc[node] {
-                    // Monotone early-out: downstream comparisons of this node
-                    // see no difference — the frontier stops here.
-                    settled += 1;
-                }
-                acc
-            } else {
-                reused += 1;
-                tail.acc[node] = row.acc[node];
-                if self.record_observations {
-                    // Equal fold inputs give equal stashes; the dense slots
-                    // of this node's exec ends are written only by arcs in
-                    // this slot's range, so copying them is exact.
-                    for i in slot.execs.clone() {
-                        let dense = ct.exec_arcs[i].stash_dense;
-                        if dense != u32::MAX {
-                            tail.exec_stash[dense as usize] = row.stash[dense as usize];
-                        }
-                    }
-                }
-                row.acc[node]
-            };
-            if !matches!(slot.obs, Obs::None) {
-                self.observe_tail(k, slot.obs, acc, &mut tail);
-            }
-        }
-        // The schedule is a permutation of all nodes, and a slot's flag is
-        // read only by its own skip test, so the walk marks them all here.
-        tail.computed.fill(true);
-        self.stats.nodes_computed += nodes_local;
-        self.stats.arcs_evaluated += arcs_local;
-        self.ring.push_back(tail);
-        self.compiled = Some(ct);
-        link.stats.calls_delta += 1;
-        link.stats.nodes_reused += reused;
-        link.stats.nodes_recomputed += recomputed;
-        link.stats.nodes_settled += settled;
-        if recomputed == 0 {
-            link.stats.frontier_collapses += 1;
-        }
-        self.delta = Some(link);
     }
 
     /// The computed acknowledgment instant (boundary exchange) of the
@@ -2018,88 +1620,6 @@ mod tests {
         }
         assert_eq!(e.fast_forward_stats().promotions, 1, "knob survives reset");
         assert_bitwise_equal(&mut e, &mut plain, 6, 49);
-    }
-
-    #[test]
-    fn delta_identical_sibling_collapses_and_matches_bitwise() {
-        let mut base = engine();
-        base.begin_delta_capture().expect("didactic graph is eligible");
-        for k in 0..50 {
-            base.set_input(0, k, Time::from_ticks(k * 40), 3);
-        }
-        let cache = base.finish_delta_capture();
-        assert_eq!(cache.iterations(), 50);
-
-        let mut sib = engine();
-        sib.attach_delta_base(cache).expect("identical structure");
-        let mut plain = engine();
-        for k in 0..60 {
-            // Same trace for the cached range, then 10 offers beyond it.
-            sib.set_input(0, k, Time::from_ticks(k * 40), 3);
-            plain.set_input(0, k, Time::from_ticks(k * 40), 3);
-        }
-        let stats = sib.detach_delta();
-        assert_eq!(stats.calls_delta, 50);
-        assert_eq!(stats.calls_full, 10);
-        assert_eq!(stats.nodes_recomputed, 0, "no seeds, matching offers");
-        assert_eq!(stats.frontier_collapses, 50);
-        assert!(stats.nodes_reused > 0);
-        assert_bitwise_equal(&mut sib, &mut plain, 6, 59);
-    }
-
-    #[test]
-    fn delta_perturbed_trace_recomputes_and_matches_bitwise() {
-        let mut base = engine();
-        base.begin_delta_capture().unwrap();
-        // Inter-arrival far above the ~210-tick service time: iterations
-        // decouple, so a small jolt stays transient.
-        for k in 0..50 {
-            base.set_input(0, k, Time::from_ticks(k * 500), 3);
-        }
-        let cache = base.finish_delta_capture();
-
-        let mut sib = engine();
-        sib.attach_delta_base(cache).unwrap();
-        let mut plain = engine();
-        for k in 0..50 {
-            // One slightly late offer perturbs a bounded window.
-            let at = k * 500 + if k == 25 { 100 } else { 0 };
-            sib.set_input(0, k, Time::from_ticks(at), 3);
-            plain.set_input(0, k, Time::from_ticks(at), 3);
-        }
-        let stats = sib.detach_delta();
-        assert_eq!(stats.calls_delta, 50);
-        assert!(stats.nodes_recomputed > 0, "perturbation must propagate");
-        assert!(
-            stats.nodes_reused > stats.nodes_recomputed,
-            "most of the run is unchanged: {stats:?}"
-        );
-        assert!(
-            stats.nodes_settled > 0,
-            "the transient jolt must settle: {stats:?}"
-        );
-        assert_bitwise_equal(&mut sib, &mut plain, 6, 49);
-    }
-
-    #[test]
-    fn delta_gates_mirror_batch_pattern() {
-        let w = engine_with(EvalBackend::Worklist);
-        let mut w = w;
-        assert_eq!(
-            w.begin_delta_capture().unwrap_err(),
-            DeltaUnsupported::WorklistBackend
-        );
-        let mut c = engine();
-        c.begin_delta_capture().unwrap();
-        c.set_input(0, 0, Time::ZERO, 0);
-        let cache = c.finish_delta_capture();
-        assert_eq!(w.attach_delta_base(cache).unwrap_err().reason(), "worklist");
-        // Reset clears capture and link state alike.
-        let mut s = engine();
-        s.begin_delta_capture().unwrap();
-        s.reset();
-        assert!(s.delta_capture.is_none(), "reset must clear the capture");
-        assert!(s.delta.is_none());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The scalar [`Engine`](crate::Engine) holds one [`LaneLog`]; the
 //! [`BatchedEngine`](crate::BatchedEngine) holds one per lane. All three
-//! evaluation paths — the worklist, the scalar compiled sweep (plain and
-//! delta) and the batched lockstep sweep — evaluate exec weights through
+//! evaluation paths — the worklist, the scalar compiled sweep and the
+//! batched lockstep sweep — evaluate exec weights through
 //! [`eval_weight`] and replay a computed node's observation action through
 //! [`LaneLog::observe`]; periodic fast-forward diffs a call's emissions with
 //! [`LaneLog::mark`]/[`LaneLog::collect`] and replays them with

@@ -17,11 +17,7 @@
 //!    runs on both scalar backends.
 //! 3. **The ejection path** — graphs the batch gate rejects (multi-input)
 //!    must fall back to a scalar engine that still agrees with the
-//!    worklist reference, so ejecting a lane can never change results; the
-//!    delta-chaining gate mirrors the same rejection on the same graph.
-//! 4. **Delta × batching** — a sweep grid where lockstep lanes and delta
-//!    chains both engage must stay bitwise identical to the plain scalar
-//!    sweep, with the batching ledger untouched by delta chaining.
+//!    worklist reference, so ejecting a lane can never change results.
 //!
 //! Execution records are compared as canonical multisets: the batched
 //! sweep replays them in schedule order, the scalar worklist in pop order,
@@ -342,19 +338,6 @@ fn ejected_lanes_fall_back_to_conforming_scalar_engines() {
     assert!(matches!(err, BatchUnsupported::MultiInput { inputs: 2 }));
     assert_eq!(err.reason(), "multi_input");
 
-    // The delta gate mirrors the batch gate on the same graph: the same
-    // perturbation family that cannot run in lockstep lanes cannot be
-    // delta-chained either, and reports the same stable reason.
-    let mut gated = Engine::with_backend(
-        DerivedTdg::new(tdg.clone(), rules.clone()),
-        3,
-        true,
-        EvalBackend::Compiled,
-    );
-    let delta_err = gated.begin_delta_capture().expect_err("two inputs cannot delta-chain");
-    assert!(matches!(delta_err, evolve_core::DeltaUnsupported::MultiInput { inputs: 2 }));
-    assert_eq!(delta_err.reason(), "multi_input");
-
     // The fallback pair: scalar compiled vs worklist on the same drive.
     let mut compiled =
         Engine::with_backend(DerivedTdg::new(tdg.clone(), rules.clone()), 3, true, EvalBackend::Compiled);
@@ -374,94 +357,11 @@ fn ejected_lanes_fall_back_to_conforming_scalar_engines() {
     assert_eq!(compiled.stats().iterations_completed, worklist.stats().iterations_completed);
 }
 
-/// Delta × batching matrix at the sweep level: a grid mixing same-spec
-/// groups (which the planner batches into lockstep lanes) with a
-/// cross-spec sibling family (which the planner delta-chains from the
-/// batch leftovers) must produce bitwise-identical outcomes with delta
-/// chaining on, off, and fully unbatched — while both mechanisms actually
-/// engage and the batching ledger stays byte-for-byte unchanged by delta.
-#[test]
-fn delta_chains_compose_with_batched_lanes_in_sweeps() {
-    use evolve_explore::{run_sweep, ModelKind, ModelSpec, ScenarioSpec, SweepConfig};
-
-    let scenario = |label: &str, kind: ModelKind, backend: EvalBackend, seed: u64| ScenarioSpec {
-        label: label.to_string(),
-        model: ModelSpec { kind, padding: 0, backend },
-        trace: evolve_explore::TraceSpec {
-            tokens: 30,
-            min_size: 1,
-            max_size: 48,
-            mean_period: 400,
-            seed,
-        },
-    };
-    let mut grid = Vec::new();
-    // Three scenarios of one exact spec: a lockstep pair plus a leftover
-    // the batch planner hands back as a single lane.
-    for i in 0..3u64 {
-        grid.push(scenario(
-            &format!("batched-{i}"),
-            ModelKind::Pipeline { stages: 3, base: 100, per_unit: 2 },
-            EvalBackend::Compiled,
-            0x90 + i,
-        ));
-    }
-    // Two load-perturbed siblings of the same family shape: together with
-    // the leftover they form a three-member delta chain.
-    grid.push(scenario(
-        "sibling-a",
-        ModelKind::Pipeline { stages: 3, base: 130, per_unit: 2 },
-        EvalBackend::Compiled,
-        0xa0,
-    ));
-    grid.push(scenario(
-        "sibling-b",
-        ModelKind::Pipeline { stages: 3, base: 160, per_unit: 2 },
-        EvalBackend::Compiled,
-        0xa1,
-    ));
-    // A worklist straggler: family-ineligible, must stay on the plain
-    // scalar path under every configuration.
-    grid.push(scenario(
-        "worklist",
-        ModelKind::Didactic { stages: 1 },
-        EvalBackend::Worklist,
-        0xb0,
-    ));
-
-    let run = |batch_width: usize, delta: bool, threads: usize| {
-        run_sweep(
-            &grid,
-            &SweepConfig { threads, batch_width, delta, ..SweepConfig::default() },
-        )
-    };
-    let both = run(2, true, 2);
-    let batch_only = run(2, false, 2);
-    let plain = run(1, false, 1);
-
-    assert!(both.batching.lanes_batched >= 2, "lockstep lanes engaged: {:?}", both.batching);
-    assert!(both.delta.chains_formed >= 1, "a sibling chain formed: {:?}", both.delta);
-    assert!(both.delta.lanes_delta >= 2, "siblings rode the delta path: {:?}", both.delta);
-    let ejected = both.delta.eject_multi_input
-        + both.delta.eject_output_acks
-        + both.delta.eject_worklist
-        + both.delta.eject_structure_mismatch;
-    assert_eq!(ejected, 0, "nothing in this grid ejects: {:?}", both.delta);
-    assert_eq!(both.batching, batch_only.batching, "delta leaves the batching ledger alone");
-
-    for (a, b) in both.scenarios.iter().zip(&batch_only.scenarios) {
-        assert_eq!(a.outcome, b.outcome, "{}: delta on vs off", a.label);
-    }
-    for (a, p) in both.scenarios.iter().zip(&plain.scenarios) {
-        assert_eq!(a.outcome, p.outcome, "{}: batched+delta vs plain", a.label);
-    }
-}
-
 /// Padded-tail chunks with mixed live/ended lanes: widths just above a
 /// chunk multiple, lane traces staggered so the final chunk carries both
 /// active lanes and lanes that stopped offering iterations ago. Outcomes
 /// must stay bitwise identical to the scalar sweep on the plain compiled
-/// path, under fast-forward promotion, and with delta chaining engaged.
+/// path and under fast-forward promotion.
 #[test]
 fn tail_chunk_mixed_lane_endings_stay_bitwise() {
     use evolve_core::FastForward;
@@ -493,7 +393,6 @@ fn tail_chunk_mixed_lane_endings_stay_bitwise() {
             &SweepConfig {
                 threads: 1,
                 batch_width: 1,
-                delta: false,
                 fast_forward: FastForward::Off,
                 ..SweepConfig::default()
             },
@@ -503,13 +402,12 @@ fn tail_chunk_mixed_lane_endings_stay_bitwise() {
             &SweepConfig {
                 threads: 1,
                 batch_width: width,
-                delta: false,
                 fast_forward: FastForward::Off,
                 ..SweepConfig::default()
             },
         );
-        // Fast-forward on and delta chaining on: both layers engage on
-        // this grid and must still agree bitwise.
+        // Fast-forward on: promotion engages on this grid and must still
+        // agree bitwise.
         let promoted = run_sweep(
             &scenarios,
             &SweepConfig { threads: 1, batch_width: width, ..SweepConfig::default() },
@@ -528,7 +426,7 @@ fn tail_chunk_mixed_lane_endings_stay_bitwise() {
             assert_eq!(a.outcome, b.outcome, "{}: scalar vs batched", a.label);
         }
         for (a, b) in scalar.scenarios.iter().zip(&promoted.scenarios) {
-            assert_eq!(a.outcome, b.outcome, "{}: scalar vs batched+ff+delta", a.label);
+            assert_eq!(a.outcome, b.outcome, "{}: scalar vs batched+ff", a.label);
         }
     }
 }

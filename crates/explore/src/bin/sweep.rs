@@ -13,9 +13,8 @@
 //! `--scenarios N` (batch size, default 32), `--tokens N` (trace length,
 //! default 200), `--batch N` (lockstep lanes per `BatchedEngine`, default
 //! 8; `1` disables batching), `--no-fast-forward` (disable periodic
-//! steady-state fast-forward, for A/B timing runs), `--no-delta` (disable
-//! delta chaining of sibling scenarios, for A/B timing runs), `--compare`
-//! (also run the conventional DES model per scenario), `--out PATH` (report path,
+//! steady-state fast-forward, for A/B timing runs), `--compare` (also run
+//! the conventional DES model per scenario), `--out PATH` (report path,
 //! default `results/sweep.json`), `--metrics PATH` (enable per-resource
 //! telemetry and write a metrics snapshot — Prometheus text exposition, or
 //! JSON when the path ends in `.json`), `--trace PATH` (re-run the first
@@ -35,14 +34,13 @@ struct Options {
     tokens: u64,
     batch: usize,
     fast_forward: FastForward,
-    delta: bool,
     compare: bool,
     out: PathBuf,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--no-delta] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
+const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
@@ -56,7 +54,6 @@ fn parse_args() -> Options {
         tokens: 200,
         batch: 8,
         fast_forward: FastForward::On,
-        delta: true,
         compare: false,
         out: PathBuf::from("results/sweep.json"),
         metrics: None,
@@ -83,7 +80,6 @@ fn parse_args() -> Options {
                 }
             }
             "--no-fast-forward" => options.fast_forward = FastForward::Off,
-            "--no-delta" => options.delta = false,
             "--compare" => options.compare = true,
             "--out" => options.out = PathBuf::from(value("--out")),
             "--metrics" => options.metrics = Some(PathBuf::from(value("--metrics"))),
@@ -158,7 +154,6 @@ fn main() {
             batch_width: options.batch,
             fast_forward: options.fast_forward,
             telemetry: options.metrics.is_some(),
-            delta: options.delta,
             ..SweepConfig::default()
         },
     );
@@ -169,7 +164,6 @@ fn main() {
             compare_conventional: options.compare,
             batch_width: options.batch,
             fast_forward: options.fast_forward,
-            delta: options.delta,
             ..SweepConfig::default()
         },
     );
@@ -183,8 +177,7 @@ fn main() {
                 compare_conventional: options.compare,
                 batch_width: 1,
                 fast_forward: options.fast_forward,
-                delta: options.delta,
-                ..SweepConfig::default()
+                    ..SweepConfig::default()
             },
         )
     });
@@ -217,11 +210,6 @@ fn main() {
     eprintln!(
         "fast-forward: {} promotions, {} demotions, {} iterations replayed",
         ff.promotions, ff.demotions, ff.fast_forwarded_iterations,
-    );
-    let d = &parallel.delta;
-    eprintln!(
-        "delta: {} chains ({} base + {} delta lanes), {} nodes reused / {} recomputed",
-        d.chains_formed, d.lanes_base, d.lanes_delta, d.nodes_reused, d.nodes_recomputed,
     );
 
     let doc = document(&options, &parallel, &sequential, unbatched.as_ref(), identical);
@@ -277,7 +265,6 @@ mod tests {
             tokens: 5,
             batch: 2,
             fast_forward: FastForward::On,
-            delta: true,
             compare: false,
             out: PathBuf::from("unused.json"),
             metrics: None,

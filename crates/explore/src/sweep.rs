@@ -50,26 +50,24 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    synthetic, BatchedEngine, DeltaCache, DeltaUnsupported, DetectedPeriod, Engine, EngineStats,
-    EvalBackend, FastForward, FastForwardStats, PeriodicConfig,
+    synthetic, BatchedEngine, DetectedPeriod, Engine, EngineStats, EvalBackend, FastForward,
+    FastForwardStats, PeriodicConfig,
 };
 use evolve_des::{SplitMix64, Time};
 use evolve_model::{
     didactic, elaborate, Architecture, Arrival, Environment, ExecRecord, RelationId, Stimulus,
 };
 use evolve_obs::{
-    BatchCounters, DeltaCounters, EventCounters, MetricsSnapshot, ResourceSnapshot, TelemetrySink,
-    TraceCollector,
+    BatchCounters, EventCounters, MetricsSnapshot, ResourceSnapshot, TelemetrySink, TraceCollector,
 };
 
 use crate::cache::{
-    busy_per_resource, delta_family_key, drive_prepared, drive_prepared_batch, prepare,
-    prepare_batch, DeltaFamilyKey, DeltaLaneOutcome, DeltaMode, EngineCaches, EngineOptions,
-    PreparedModel,
+    busy_per_resource, drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaMode,
+    EngineCaches, EngineOptions, PreparedModel,
 };
 use crate::json::Json;
 
@@ -262,10 +260,6 @@ pub struct ScenarioResult {
     /// Whether this scenario ran as a lane of a [`BatchedEngine`] (as
     /// opposed to the scalar per-scenario path).
     pub batched: bool,
-    /// Whether this scenario was evaluated as a delta against a sibling
-    /// chain's base cache (bitwise identical to a full evaluation; chain
-    /// bases and ejected siblings report `false`).
-    pub delta: bool,
     /// Host wall-clock time of the engine drive. For batched scenarios
     /// this is the batch drive time divided by the lane count — the
     /// per-lane amortized cost, comparable to the scalar wall.
@@ -347,14 +341,6 @@ pub struct SweepConfig {
     /// what a drive returned, so outcomes are identical either way, but
     /// folding the records costs a few percent of sweep throughput.
     pub telemetry: bool,
-    /// Group scalar compiled scenarios of structurally identical models
-    /// into base+sibling *delta chains*: the chain's first scenario is
-    /// evaluated fully with its per-iteration state captured, and the
-    /// remaining siblings diff against that cache, recomputing only their
-    /// change frontier. On by default — outcomes are guaranteed bitwise
-    /// identical either way (`--no-delta` on the sweep binary exists for
-    /// A/B timing runs); see `docs/SWEEP.md` for chaining and tuning notes.
-    pub delta: bool,
 }
 
 impl Default for SweepConfig {
@@ -368,19 +354,7 @@ impl Default for SweepConfig {
             fast_forward: FastForward::On,
             ff_confirm_periods: PeriodicConfig::default().confirm_periods,
             telemetry: false,
-            delta: true,
         }
-    }
-}
-
-/// Counts one delta-chain sibling that fell back to full evaluation,
-/// under its typed reason.
-fn count_delta_eject(stats: &mut DeltaCounters, reason: DeltaUnsupported) {
-    match reason {
-        DeltaUnsupported::MultiInput { .. } => stats.eject_multi_input += 1,
-        DeltaUnsupported::OutputAcks => stats.eject_output_acks += 1,
-        DeltaUnsupported::WorklistBackend => stats.eject_worklist += 1,
-        DeltaUnsupported::StructureMismatch => stats.eject_structure_mismatch += 1,
     }
 }
 
@@ -396,10 +370,6 @@ pub struct SweepReport {
     /// a batched lane or a scalar evaluation, and the `eject_*` counters
     /// break the scalar side down by the reason batching turned it away.
     pub batching: BatchCounters,
-    /// Counters of the delta-chaining layer: chains formed, bases and
-    /// attached siblings, the siblings' node-level counters, and the
-    /// siblings ejected to full evaluation by reason.
-    pub delta: DeltaCounters,
     /// Lifecycle event counters summed over every drive.
     pub events: EventCounters,
     /// Host wall-clock time of the whole sweep.
@@ -448,7 +418,7 @@ impl SweepReport {
     }
 
     /// One [`MetricsSnapshot`] carrying every counter family of the sweep
-    /// — engine work, fast-forward, batching, delta, lifecycle events —
+    /// — engine work, fast-forward, batching, lifecycle events —
     /// plus the per-resource metrics when [`SweepConfig::telemetry`] was
     /// on, so every family flows through the same Prometheus/JSON
     /// exporters.
@@ -471,7 +441,6 @@ impl SweepReport {
             engine,
             ff: self.total_fast_forward_stats().counters,
             batch: self.batching,
-            delta: self.delta,
             events: self.events,
             boundary_events: self
                 .scenarios
@@ -573,7 +542,6 @@ fn scenario_json(s: &ScenarioResult) -> Json {
         ("backend", Json::str(s.backend.as_str())),
         ("reused_engine", Json::Bool(s.reused_engine)),
         ("batched", Json::Bool(s.batched)),
-        ("delta", Json::Bool(s.delta)),
         ("outputs", Json::U64(s.outcome.outputs.len() as u64)),
         ("makespan_ticks", Json::U64(makespan)),
         ("boundary_events", Json::U64(s.outcome.boundary_events)),
@@ -852,23 +820,20 @@ fn reference_for(
 #[derive(Default)]
 struct Ledger {
     batching: BatchCounters,
-    delta: DeltaCounters,
     events: EventCounters,
     /// The unit's telemetry shard, when [`SweepConfig::telemetry`] is on.
     tel: Option<Box<TelemetrySink>>,
 }
 
-/// Evaluates one scenario on a worker-cached engine, optionally capturing
-/// or consuming a delta-chain cache. The delta lifecycle and drive itself
-/// live in [`cache::drive_prepared`], shared with the serve daemon.
-fn evaluate_inner(
+/// Evaluates one scenario on a worker-cached engine. The drive itself
+/// lives in [`cache::drive_prepared`], shared with the serve daemon.
+fn evaluate(
     cache: &mut HashMap<ModelSpec, PreparedModel>,
     index: usize,
     spec: &ScenarioSpec,
     config: &SweepConfig,
     ledger: &mut Ledger,
-    mode: DeltaMode<'_>,
-) -> (ScenarioResult, DeltaLaneOutcome) {
+) -> ScenarioResult {
     let options = engine_options(config);
     let prepared = cache
         .entry(spec.model.clone())
@@ -879,7 +844,7 @@ fn evaluate_inner(
         stimulus.arrivals(),
         &options,
         &mut ledger.tel,
-        mode,
+        DeltaMode::Off,
     );
     ledger.events.merge(&drive.events);
     let reference = config.compare_conventional.then(|| {
@@ -892,8 +857,7 @@ fn evaluate_inner(
             config,
         )
     });
-
-    let result = ScenarioResult {
+    ScenarioResult {
         index,
         label: spec.label.clone(),
         outcome: drive.outcome,
@@ -901,23 +865,10 @@ fn evaluate_inner(
         backend: spec.model.backend,
         reused_engine: drive.reused_engine,
         batched: false,
-        delta: matches!(drive.delta, DeltaLaneOutcome::Attached(_)),
         wall: drive.wall,
         fast_forward: drive.fast_forward,
         reference,
-    };
-    (result, drive.delta)
-}
-
-/// Evaluates one scenario on a worker-cached engine.
-fn evaluate(
-    cache: &mut HashMap<ModelSpec, PreparedModel>,
-    index: usize,
-    spec: &ScenarioSpec,
-    config: &SweepConfig,
-    ledger: &mut Ledger,
-) -> ScenarioResult {
-    evaluate_inner(cache, index, spec, config, ledger, DeltaMode::Off).0
+    }
 }
 
 /// Why the batching layer sent a scenario down the scalar path.
@@ -932,13 +883,8 @@ enum ScalarReason {
     SingleLane,
 }
 
-/// A unit of worker-schedulable work: one scalar scenario, one lockstep
-/// batch of scenarios sharing a [`ModelSpec`], or one delta chain of
-/// structurally identical scalar scenarios (base first).
-///
-/// Chain members keep their [`ScalarReason`] so the batching counters are
-/// identical with delta chaining on or off — chaining regroups the scalar
-/// path, it does not reclassify it.
+/// A unit of worker-schedulable work: one scalar scenario, or one lockstep
+/// batch of scenarios sharing a [`ModelSpec`].
 enum WorkUnit {
     Scalar {
         index: usize,
@@ -946,70 +892,11 @@ enum WorkUnit {
         reason: ScalarReason,
     },
     Batch(BatchGroup),
-    Delta(ChainMembers),
 }
 
 /// The lanes of one lockstep batch, in input order: `(grid index, spec)`.
 /// All members share one [`ModelSpec`].
 type BatchGroup = Vec<(usize, ScenarioSpec)>;
-
-/// Members of one delta chain, in input order: `(grid index, spec, the
-/// scalar-path reason the member kept)`. The first entry is the base.
-type ChainMembers = Vec<(usize, ScenarioSpec, ScalarReason)>;
-
-/// The delta-family key of a scalar scenario, or `None` when the scenario
-/// is ineligible for chaining (worklist backend or an empty trace). The
-/// structural component is [`cache::delta_family_key`], shared with the
-/// serve daemon's cross-request delta reuse.
-fn family_key(spec: &ScenarioSpec) -> Option<DeltaFamilyKey> {
-    if spec.trace.tokens == 0 {
-        return None;
-    }
-    delta_family_key(&spec.model)
-}
-
-/// Regroups scalar units into delta chains: families of two or more
-/// structurally identical scenarios become one [`WorkUnit::Delta`] (input
-/// order, first member is the base); singletons stay scalar. Non-scalar
-/// units pass through untouched — batches and chains compose side by side.
-fn plan_delta_chains(units: Vec<WorkUnit>) -> Vec<WorkUnit> {
-    let mut families: Vec<(DeltaFamilyKey, ChainMembers)> = Vec::new();
-    let mut out = Vec::with_capacity(units.len());
-    for unit in units {
-        match unit {
-            WorkUnit::Scalar {
-                index,
-                spec,
-                reason,
-            } => match family_key(&spec) {
-                Some(key) => match families.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, members)) => members.push((index, spec, reason)),
-                    None => families.push((key, vec![(index, spec, reason)])),
-                },
-                None => out.push(WorkUnit::Scalar {
-                    index,
-                    spec,
-                    reason,
-                }),
-            },
-            other => out.push(other),
-        }
-    }
-    for (_, members) in families {
-        if members.len() >= 2 {
-            out.push(WorkUnit::Delta(members));
-        } else {
-            for (index, spec, reason) in members {
-                out.push(WorkUnit::Scalar {
-                    index,
-                    spec,
-                    reason,
-                });
-            }
-        }
-    }
-    out
-}
 
 /// Partitions the sweep into work units: compiled-backend scenarios with
 /// non-empty traces are grouped by [`ModelSpec`] into batches of up to
@@ -1025,9 +912,6 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
                 spec,
                 reason: ScalarReason::BatchingOff,
             });
-        }
-        if config.delta {
-            units = plan_delta_chains(units);
         }
         return units;
     }
@@ -1075,9 +959,6 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
             }
             _ => units.push(WorkUnit::Batch(group)),
         }
-    }
-    if config.delta {
-        units = plan_delta_chains(units);
     }
     units
 }
@@ -1153,7 +1034,6 @@ fn evaluate_batch(
                 backend: spec.model.backend,
                 reused_engine,
                 batched: true,
-                delta: false,
                 wall,
                 fast_forward,
                 reference,
@@ -1162,9 +1042,7 @@ fn evaluate_batch(
         .collect()
 }
 
-/// Books one scalar evaluation into the batching counters — shared by the
-/// plain scalar arm and every delta-chain member, so the batching ledger
-/// is identical with chaining on or off.
+/// Books one scalar evaluation into the batching counters.
 fn count_scalar(stats: &mut BatchCounters, reason: &ScalarReason) {
     stats.lanes_scalar += 1;
     match reason {
@@ -1173,68 +1051,6 @@ fn count_scalar(stats: &mut BatchCounters, reason: &ScalarReason) {
         ScalarReason::EmptyTrace => stats.eject_empty_trace += 1,
         ScalarReason::SingleLane => stats.eject_single_lane += 1,
     }
-}
-
-/// Evaluates one delta chain: the first member is the base (full
-/// evaluation under capture, fast-forward suspended), the rest attach the
-/// captured cache and propagate only their change frontier. A refused
-/// capture or attachment falls back to full evaluation with the reason
-/// counted — outcomes are bitwise identical on every path.
-fn evaluate_delta_chain(
-    state: &mut EngineCaches,
-    chain: ChainMembers,
-    config: &SweepConfig,
-    ledger: &mut Ledger,
-) -> Vec<ScenarioResult> {
-    ledger.delta.chains_formed += 1;
-    let mut out = Vec::with_capacity(chain.len());
-    let mut base_cache: Option<Arc<DeltaCache>> = None;
-    let mut capture_fail: Option<DeltaUnsupported> = None;
-    for (pos, (index, spec, reason)) in chain.into_iter().enumerate() {
-        count_scalar(&mut ledger.batching, &reason);
-        if pos == 0 {
-            ledger.delta.lanes_base += 1;
-            let (result, outcome) = evaluate_inner(
-                &mut state.scalar,
-                index,
-                &spec,
-                config,
-                ledger,
-                DeltaMode::CaptureBase,
-            );
-            match outcome {
-                DeltaLaneOutcome::Captured(cache) => base_cache = Some(cache),
-                DeltaLaneOutcome::CaptureFailed(reason) => capture_fail = Some(reason),
-                _ => {}
-            }
-            out.push(result);
-        } else if let Some(cache) = base_cache.clone() {
-            let (result, outcome) = evaluate_inner(
-                &mut state.scalar,
-                index,
-                &spec,
-                config,
-                ledger,
-                DeltaMode::Sibling(&cache),
-            );
-            match outcome {
-                DeltaLaneOutcome::Attached(engine_stats) => {
-                    ledger.delta.lanes_delta += 1;
-                    ledger.delta.merge(&engine_stats);
-                }
-                DeltaLaneOutcome::Ejected(reason) => count_delta_eject(&mut ledger.delta, reason),
-                _ => {}
-            }
-            out.push(result);
-        } else {
-            count_delta_eject(
-                &mut ledger.delta,
-                capture_fail.unwrap_or(DeltaUnsupported::StructureMismatch),
-            );
-            out.push(evaluate(&mut state.scalar, index, &spec, config, ledger));
-        }
-    }
-    out
 }
 
 fn process_unit(
@@ -1259,7 +1075,6 @@ fn process_unit(
             vec![result]
         }
         WorkUnit::Batch(group) => evaluate_batch(state, group, config, &mut ledger),
-        WorkUnit::Delta(chain) => evaluate_delta_chain(state, chain, config, &mut ledger),
     };
     (results, ledger)
 }
@@ -1291,14 +1106,12 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         batch_width: config.batch_width.max(1) as u64,
         ..BatchCounters::default()
     };
-    let mut delta = DeltaCounters::default();
     let mut events = EventCounters::default();
     let mut results = Vec::with_capacity(scenarios.len());
     let mut telemetry = TelemetrySink::new();
     for (unit_results, ledger) in processed {
         results.extend(unit_results);
         batching.merge(&ledger.batching);
-        delta.merge(&ledger.delta);
         events.merge(&ledger.events);
         // Telemetry shards merge here too: `processed` is in unit order
         // for any thread count, so the aggregate is deterministic.
@@ -1319,7 +1132,6 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         threads: config.threads.max(1),
         scenarios: results,
         batching,
-        delta,
         events,
         wall: start.elapsed(),
         resources: telemetry.snapshot().resources,
@@ -1368,7 +1180,6 @@ pub fn trace_scenario(
         backend: spec.model.backend,
         reused_engine: false,
         batched: false,
-        delta: false,
         wall,
         fast_forward,
         reference: None,
@@ -1376,14 +1187,13 @@ pub fn trace_scenario(
     (result, collector)
 }
 
-/// The default scenario grid shared by the sweep binary, the fig5 delta
-/// conformance gate, and the sweep tests: didactic chains and synthetic
-/// pipelines of growing depth, alternating saturating and jittered-periodic
-/// traces, exercising both engine backends.
+/// The default scenario grid shared by the sweep binary and the sweep
+/// tests: didactic chains and synthetic pipelines of growing depth,
+/// alternating saturating and jittered-periodic traces, exercising both
+/// engine backends.
 ///
-/// The grid is sibling-heavy by construction — scenarios of the same shape
-/// recur with different loads and traces — so the delta-chain planner finds
-/// families to chain and the batching planner finds groups to batch.
+/// Models recur across the grid with different traces, so the batching
+/// planner finds groups to batch.
 pub fn default_grid(count: u64, tokens: u64) -> Vec<ScenarioSpec> {
     (0..count)
         .map(|i| {
@@ -1478,7 +1288,7 @@ mod tests {
 
     #[test]
     fn telemetry_changes_only_the_snapshot_resources() {
-        // Batches, ejections, delta chains, reused engines and promotions;
+        // Batches, ejections, reused engines and promotions;
         // one thread, so engine reuse (and with it the reset count) is
         // the same in both runs.
         let scenarios = default_grid(24, 60);
@@ -1725,26 +1535,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_ejections_count_under_their_reason_label() {
-        for reason in [
-            DeltaUnsupported::MultiInput { inputs: 2 },
-            DeltaUnsupported::OutputAcks,
-            DeltaUnsupported::WorklistBackend,
-            DeltaUnsupported::StructureMismatch,
-        ] {
-            let mut stats = DeltaCounters::default();
-            count_delta_eject(&mut stats, reason);
-            let counted: Vec<_> = DeltaCounters::FIELDS
-                .iter()
-                .zip(stats.values())
-                .filter(|&(_, v)| v > 0)
-                .map(|(f, v)| (f.label, v))
-                .collect();
-            assert_eq!(counted, vec![(Some(("reason", reason.reason())), 1)]);
-        }
-    }
-
-    #[test]
     fn kernel_dispatch_counters_reach_the_report() {
         // Nine same-model lanes at width 8: one chunked batch plus a
         // scalar leftover — the chunked counter must land in the report
@@ -1770,61 +1560,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_chains_match_full_evaluation_bitwise() {
-        let scenarios = default_grid(24, 40);
-        let on = run_sweep(&scenarios, &SweepConfig { threads: 2, ..SweepConfig::default() });
-        let off = run_sweep(
-            &scenarios,
-            &SweepConfig { threads: 2, delta: false, ..SweepConfig::default() },
-        );
-        assert!(on.delta.chains_formed > 0, "the default grid is sibling-heavy");
-        assert!(on.delta.lanes_delta > 0);
-        assert_eq!(
-            on.delta.eject_multi_input
-                + on.delta.eject_output_acks
-                + on.delta.eject_worklist
-                + on.delta.eject_structure_mismatch,
-            0,
-            "every planned sibling attaches: the planner only chains compiled \
-             single-input ack-free families"
-        );
-        assert_eq!(off.delta, DeltaCounters::default());
-        assert_eq!(on.batching, off.batching, "chaining must not change the batching ledger");
-        for (a, b) in on.scenarios.iter().zip(&off.scenarios) {
-            assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);
-        }
-        assert!(on.scenarios.iter().any(|s| s.delta));
-        assert!(off.scenarios.iter().all(|s| !s.delta));
-        let rendered = on.to_json().render();
-        assert!(rendered.contains("\"chains_formed\""));
-        assert!(rendered.contains("\"delta\":true"));
-    }
-
-    #[test]
-    fn delta_stats_are_deterministic_across_thread_counts() {
-        let scenarios = default_grid(20, 30);
-        let seq = run_sweep(&scenarios, &SweepConfig { threads: 1, ..SweepConfig::default() });
-        let par = run_sweep(&scenarios, &SweepConfig { threads: 4, ..SweepConfig::default() });
-        // Chains are whole work units, so membership — and with it every
-        // node-level counter — is independent of worker scheduling.
-        assert_eq!(seq.delta, par.delta);
-        for (a, b) in seq.scenarios.iter().zip(&par.scenarios) {
-            assert_eq!(a.delta, b.delta, "scenario {}", a.label);
-            assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);
-        }
-    }
-
-    #[test]
-    fn delta_chains_compose_with_batching() {
+    fn batched_lanes_and_scalar_leftovers_match_plain_sweep() {
         // Width 2 over the grid leaves leftovers and odd groups on the
-        // scalar path, which the delta planner then chains — both layers
-        // active in one sweep, outcomes still bitwise.
+        // scalar path — both paths active in one sweep, outcomes still
+        // bitwise.
         let scenarios = default_grid(16, 30);
         let config = SweepConfig { threads: 2, batch_width: 2, ..SweepConfig::default() };
         let mixed = run_sweep(&scenarios, &config);
         let plain = run_sweep(
             &scenarios,
-            &SweepConfig { batch_width: 1, delta: false, threads: 1, ..SweepConfig::default() },
+            &SweepConfig { batch_width: 1, threads: 1, ..SweepConfig::default() },
         );
         assert!(mixed.batching.lanes_batched > 0);
         for (a, b) in mixed.scenarios.iter().zip(&plain.scenarios) {

@@ -12,8 +12,8 @@ use evolve_explore::{
 };
 
 /// The default grid (batches, worklist and single-lane ejections,
-/// fast-forward promotions) plus three single-scenario models of one
-/// delta family, whose leftover lanes chain — and one empty trace.
+/// fast-forward promotions) plus three single-scenario models that differ
+/// only in load, each a leftover single lane — and one empty trace.
 fn scenarios() -> Vec<ScenarioSpec> {
     let mut scenarios = default_grid(12, 120);
     for i in 0..4u64 {

@@ -1,4 +1,4 @@
-//! The counter families — engine, fast-forward, batching, delta, serve and
+//! The counter families — engine, fast-forward, batching, serve and
 //! lifecycle events — each declared exactly once.
 //!
 //! One `counter_families!` declaration per family names every field with
@@ -170,45 +170,6 @@ counter_families! {
         }
     }
 
-    /// Delta-evaluation counters. An engine fills the node-level fields
-    /// (`evolve_core::DeltaStats` is this type); the sweep planner and the
-    /// serve daemon add the chain bookkeeping: a chain's first scenario is
-    /// evaluated fully with its per-iteration state captured, and its
-    /// siblings diff against that cache.
-    pub struct DeltaCounters {
-        counter sum "evolve_delta_chains_formed_total" "Base+sibling delta chains formed by the sweep planner"
-            { chains_formed }
-        counter sum "evolve_delta_lanes_base_total" "Scenarios evaluated as fully-swept delta-chain bases"
-            { lanes_base }
-        counter sum "evolve_delta_lanes_delta_total" "Scenarios evaluated against a base cache"
-            { lanes_delta }
-        counter sum "evolve_delta_calls_total" "Input offers answered by the delta sweep"
-            { calls_delta }
-        counter sum "evolve_delta_calls_full_total" "Offers a delta-linked engine evaluated fully" {
-            /// Beyond the cached rows, or after a worklist fallback.
-            calls_full
-        }
-        counter sum "evolve_delta_nodes_reused_total" "Node instants copied from the base cache"
-            { nodes_reused }
-        counter sum "evolve_delta_nodes_recomputed_total" "Node instants recomputed by the change frontier"
-            { nodes_recomputed }
-        counter sum "evolve_delta_nodes_settled_total" "Recomputed instants that matched the cache (frontier early-out)" {
-            /// The max-plus early-out that stops the frontier from
-            /// spreading downstream.
-            nodes_settled
-        }
-        counter sum "evolve_delta_frontier_collapses_total" "Delta calls that recomputed zero nodes"
-            { frontier_collapses }
-        counter sum "evolve_delta_ejections_total" "Scenarios ejected from delta chains to full evaluation, by reason" {
-            eject_multi_input { reason = "multi_input" },
-            eject_output_acks { reason = "output_acks" },
-            eject_worklist { reason = "worklist" },
-            /// The sibling's compiled structure differs from the base
-            /// cache.
-            eject_structure_mismatch { reason = "structure_mismatch" },
-        }
-    }
-
     /// Serving-layer counters recorded by the `evolve-serve` daemon's
     /// shard workers: request admission, batch formation, and the
     /// evaluation path each request lane took.
@@ -233,8 +194,6 @@ counter_families! {
             lanes_batched { path = "batched" },
             /// Ejected or singleton lanes.
             lanes_scalar { path = "scalar" },
-            /// Evaluated as a delta against a family base cache.
-            lanes_delta { path = "delta" },
         }
     }
 
@@ -281,11 +240,10 @@ impl BatchCounters {
 }
 
 /// Every family's declarations, in exposition order.
-const FAMILIES: [&[CounterField]; 6] = [
+const FAMILIES: [&[CounterField]; 5] = [
     EngineCounters::FIELDS,
     FfCounters::FIELDS,
     BatchCounters::FIELDS,
-    DeltaCounters::FIELDS,
     ServeCounters::FIELDS,
     EventCounters::FIELDS,
 ];

@@ -79,7 +79,6 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
     snapshot.engine.write_prometheus(&mut out);
     snapshot.ff.write_prometheus(&mut out);
     snapshot.batch.write_prometheus(&mut out);
-    snapshot.delta.write_prometheus(&mut out);
     snapshot.serve.write_prometheus(&mut out);
 
     if let Some(gauges) = &snapshot.serve_gauges {

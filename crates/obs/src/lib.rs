@@ -11,8 +11,8 @@
 //!   log-bucketed duration histograms ([`LogHistogram`]) over each lane's
 //!   execution records, the counter families, and the event-ratio gauge
 //!   of the paper's Table I; drivers fill it after each drive;
-//! - [`counters`] — the engine, fast-forward, batching, delta, serve and
-//!   event counter families, each declared once; struct, merge, JSON,
+//! - [`counters`] — the engine, fast-forward, batching, serve and event
+//!   counter families, each declared once; struct, merge, JSON,
 //!   Prometheus lines and catalogue rows are generated from it;
 //! - exporters — Prometheus text exposition ([`prometheus`]), JSON
 //!   ([`MetricsSnapshot::to_json`] over the in-tree [`json::Json`]
@@ -37,8 +37,8 @@ pub use export::prometheus;
 pub use flight::{FlightRecorder, FlightSpan, Phase, TrackId};
 pub use json::Json;
 pub use counters::{
-    catalogue_rows, BatchCounters, CounterField, DeltaCounters, EngineCounters, EventCounters,
-    FfCounters, ServeCounters,
+    catalogue_rows, BatchCounters, CounterField, EngineCounters, EventCounters, FfCounters,
+    ServeCounters,
 };
 pub use metrics::{
     LogHistogram, MetricsSnapshot, PhaseSnapshot, ResourceMetrics, ResourceSnapshot, ServeGauges,

@@ -14,9 +14,7 @@
 
 use evolve_model::ExecRecord;
 
-use crate::counters::{
-    BatchCounters, DeltaCounters, EngineCounters, EventCounters, FfCounters, ServeCounters,
-};
+use crate::counters::{BatchCounters, EngineCounters, EventCounters, FfCounters, ServeCounters};
 use crate::json::Json;
 
 /// Number of [`LogHistogram`] buckets: one for zero plus one per power of
@@ -276,8 +274,6 @@ pub struct TelemetrySink {
     pub ff: FfCounters,
     /// Batching counters.
     pub batch: BatchCounters,
-    /// Delta-evaluation counters.
-    pub delta: DeltaCounters,
     /// Serving-layer counters.
     pub serve: ServeCounters,
     /// Engine lifecycle event counts.
@@ -311,11 +307,6 @@ impl TelemetrySink {
     /// Folds batching counters into the sink.
     pub fn record_batch(&mut self, counters: BatchCounters) {
         self.batch.merge(&counters);
-    }
-
-    /// Folds delta-evaluation counters into the sink.
-    pub fn record_delta(&mut self, counters: DeltaCounters) {
-        self.delta.merge(&counters);
     }
 
     /// Folds serving-layer counters into the sink.
@@ -363,7 +354,6 @@ impl TelemetrySink {
         self.engine.merge(&other.engine);
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
-        self.delta.merge(&other.delta);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
         self.boundary_events += other.boundary_events;
@@ -393,7 +383,6 @@ impl TelemetrySink {
             engine: self.engine,
             ff: self.ff,
             batch: self.batch,
-            delta: self.delta,
             serve: self.serve,
             events: self.events,
             boundary_events: self.boundary_events,
@@ -459,8 +448,6 @@ pub struct MetricsSnapshot {
     pub ff: FfCounters,
     /// Batching counters.
     pub batch: BatchCounters,
-    /// Delta-evaluation counters.
-    pub delta: DeltaCounters,
     /// Serving-layer counters.
     pub serve: ServeCounters,
     /// Lifecycle event counts.
@@ -513,7 +500,6 @@ impl MetricsSnapshot {
         self.engine.merge(&other.engine);
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
-        self.delta.merge(&other.delta);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
         self.boundary_events += other.boundary_events;
@@ -593,7 +579,6 @@ impl MetricsSnapshot {
             ("engine", self.engine.to_json()),
             ("fast_forward", Json::Object(fast_forward)),
             ("batching", self.batch.to_json()),
-            ("delta", self.delta.to_json()),
             ("serve", self.serve.to_json()),
             ("events", Json::Object(events)),
             (

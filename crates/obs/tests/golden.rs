@@ -5,7 +5,7 @@
 //! the wrong place, or not at all changes the output.
 
 use evolve_obs::{
-    prometheus, BatchCounters, DeltaCounters, EngineCounters, EventCounters, FfCounters,
+    prometheus, BatchCounters, EngineCounters, EventCounters, FfCounters,
     LogHistogram, MetricsSnapshot, PhaseSnapshot, ResourceSnapshot, ServeCounters, ServeGauges,
 };
 
@@ -55,21 +55,6 @@ fn populated() -> MetricsSnapshot {
             eject_single_lane: 310,
             eject_unsupported: 311,
         },
-        delta: DeltaCounters {
-            chains_formed: 401,
-            lanes_base: 402,
-            lanes_delta: 403,
-            calls_delta: 404,
-            calls_full: 405,
-            nodes_reused: 406,
-            nodes_recomputed: 407,
-            nodes_settled: 408,
-            frontier_collapses: 409,
-            eject_multi_input: 410,
-            eject_output_acks: 411,
-            eject_worklist: 412,
-            eject_structure_mismatch: 413,
-        },
         serve: ServeCounters {
             connections: 501,
             requests: 502,
@@ -80,7 +65,6 @@ fn populated() -> MetricsSnapshot {
             batches_deadline: 507,
             lanes_batched: 508,
             lanes_scalar: 509,
-            lanes_delta: 510,
         },
         events: EventCounters {
             attaches: 601,

@@ -17,10 +17,6 @@
 //!   [`max_batch_delay`](ServeConfig::max_batch_delay) deadline when
 //!   underfull — through the same `drive_prepared_batch` path the sweep
 //!   uses, so daemon and sweep share one batching implementation;
-//! - **cross-request delta chaining**: scalar-path requests of the same
-//!   structural family attach the first request's captured
-//!   [`DeltaCache`](evolve_core::DeltaCache) and propagate only their
-//!   change frontier;
 //! - **admission control**: beyond
 //!   [`max_queue_depth`](ServeConfig::max_queue_depth) pending requests
 //!   a shard sheds load with a typed BUSY response instead of queueing
@@ -31,9 +27,8 @@
 //!
 //! Responses are bitwise identical to a fresh scalar
 //! [`Engine`](evolve_core::Engine) evaluation regardless of which path
-//! (batched, ejected-scalar, delta-attached) served them — the
-//! conformance suite pins this down. `docs/SERVING.md` documents the
-//! wire protocol and tuning knobs.
+//! (batched or scalar) served them — the conformance suite pins this
+//! down. `docs/SERVING.md` documents the wire protocol and tuning knobs.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -195,11 +195,10 @@ pub struct EvalResponse {
     /// Fast-forward counters: promotions, demotions, fast-forwarded
     /// iterations.
     pub ff: [u64; 3],
-    /// Whether this lane evaluated against a delta base cache.
+    /// Always `false`: cross-scenario delta evaluation was removed. The
+    /// field and its wire byte stay so that clients reading them still
+    /// work.
     pub delta_attached: bool,
-    /// Delta counters: calls delta, calls full, nodes reused, nodes
-    /// recomputed, nodes settled, frontier collapses.
-    pub delta: [u64; 6],
     /// Whether this lane ran inside a lockstep batch.
     pub batched: bool,
     /// Lanes in the dispatch group this request was served with.
@@ -375,9 +374,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 put_u64(&mut buf, v);
             }
             put_u8(&mut buf, u8::from(ok.delta_attached));
-            for v in ok.delta {
-                put_u64(&mut buf, v);
-            }
             put_u8(&mut buf, u8::from(ok.batched));
             put_u32(&mut buf, ok.lanes_in_batch);
         }
@@ -587,10 +583,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 *v = c.u64()?;
             }
             let delta_attached = c.u8()? != 0;
-            let mut delta = [0u64; 6];
-            for v in &mut delta {
-                *v = c.u64()?;
-            }
             let batched = c.u8()? != 0;
             let lanes_in_batch = c.u32()?;
             Response::EvalOk(EvalResponse {
@@ -600,7 +592,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 engine,
                 ff,
                 delta_attached,
-                delta,
                 batched,
                 lanes_in_batch,
             })

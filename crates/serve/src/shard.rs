@@ -14,16 +14,16 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evolve_core::{DeltaStats, EvalBackend, FastForwardStats};
+use evolve_core::{EvalBackend, FastForwardStats};
 use evolve_explore::cache::{
-    delta_family_key, drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaBases,
-    DeltaLaneOutcome, DeltaMode, EngineCaches, EngineOptions, PreparedDrive,
+    drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaMode, EngineCaches,
+    EngineOptions,
 };
 use evolve_explore::{ModelSpec, ScenarioOutcome};
 use evolve_model::Arrival;
 use evolve_obs::{
-    BatchCounters, DeltaCounters, EventCounters, FlightRecorder, MetricsSnapshot, Phase,
-    ServeCounters, TelemetrySink, TrackId,
+    BatchCounters, EventCounters, FlightRecorder, MetricsSnapshot, Phase, ServeCounters,
+    TelemetrySink, TrackId,
 };
 
 use crate::net::Conn;
@@ -118,7 +118,6 @@ struct Worker {
     cfg: Arc<ServeConfig>,
     options: EngineOptions,
     caches: EngineCaches,
-    bases: DeltaBases,
     sink: Option<Box<TelemetrySink>>,
     counters: ServeCounters,
     depth: Arc<AtomicUsize>,
@@ -140,7 +139,6 @@ impl Worker {
             cfg,
             options,
             caches: EngineCaches::default(),
-            bases: DeltaBases::default(),
             sink,
             counters: ServeCounters::default(),
             depth,
@@ -321,7 +319,7 @@ impl Worker {
         for (lane, (job, outcome)) in jobs.into_iter().zip(outcomes).enumerate() {
             let ff = prepared.engine.lane_fast_forward_stats(lane);
             self.counters.lanes_batched += 1;
-            let resp = eval_ok(job.id, &outcome, ff, None, true, n as u32);
+            let resp = eval_ok(job.id, &outcome, ff, true, n as u32);
             self.respond(&job.writer, &Response::EvalOk(resp), job.corr);
         }
         self.caches.batch.insert(key, Ok(prepared));
@@ -329,64 +327,21 @@ impl Worker {
 
     fn eval_scalar(&mut self, spec: &ModelSpec, job: Job, lanes_in_batch: u32) {
         let options = self.options;
-        let key = (self.cfg.delta && !self.cfg.naive && !job.arrivals.is_empty())
-            .then(|| delta_family_key(spec))
-            .flatten();
-        let base = key.as_ref().and_then(|k| self.bases.get(k).cloned());
-        let mode = match (&base, &key) {
-            (Some(arc), _) => DeltaMode::Sibling(arc),
-            (None, Some(_)) => DeltaMode::CaptureBase,
-            (None, None) => DeltaMode::Off,
-        };
         let eval_start = self.flight_now();
         let drive = if self.cfg.naive {
             // Baseline serving strategy: a fresh engine per request, no
-            // cache, no delta chain — what a one-request-per-process
-            // evaluator would do.
+            // cache — what a one-request-per-process evaluator would do.
             let mut fresh = prepare(spec, &options);
-            drive_prepared(&mut fresh, &job.arrivals, &options, &mut self.sink, mode)
+            drive_prepared(&mut fresh, &job.arrivals, &options, &mut self.sink, DeltaMode::Off)
         } else {
             let prepared = self.caches.scalar_mut(spec, &options);
-            drive_prepared(prepared, &job.arrivals, &options, &mut self.sink, mode)
+            drive_prepared(prepared, &job.arrivals, &options, &mut self.sink, DeltaMode::Off)
         };
         if let Some(f) = &self.flight {
             f.record(Phase::Eval, job.corr, eval_start, f.recorder.now_ns(), job.label, 1);
         }
-        let PreparedDrive {
-            outcome,
-            fast_forward,
-            delta,
-            ..
-        } = drive;
-        let mut attached: Option<DeltaStats> = None;
-        match delta {
-            DeltaLaneOutcome::Captured(cache) => {
-                if let Some(k) = key {
-                    self.bases.insert(k, cache);
-                }
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.record_delta(DeltaCounters {
-                        lanes_base: 1,
-                        ..DeltaCounters::default()
-                    });
-                }
-            }
-            DeltaLaneOutcome::Attached(stats) => {
-                attached = Some(stats);
-                self.counters.lanes_delta += 1;
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.record_delta(DeltaCounters {
-                        lanes_delta: 1,
-                        ..stats
-                    });
-                }
-            }
-            DeltaLaneOutcome::NotRequested
-            | DeltaLaneOutcome::CaptureFailed(_)
-            | DeltaLaneOutcome::Ejected(_) => {}
-        }
         self.counters.lanes_scalar += 1;
-        let resp = eval_ok(job.id, &outcome, fast_forward, attached, false, lanes_in_batch);
+        let resp = eval_ok(job.id, &drive.outcome, drive.fast_forward, false, lanes_in_batch);
         self.respond(&job.writer, &Response::EvalOk(resp), job.corr);
     }
 
@@ -441,7 +396,6 @@ fn eval_ok(
     id: u64,
     outcome: &ScenarioOutcome,
     ff: FastForwardStats,
-    delta: Option<DeltaStats>,
     batched: bool,
     lanes_in_batch: u32,
 ) -> EvalResponse {
@@ -458,19 +412,7 @@ fn eval_ok(
             es.batched_iterations,
         ],
         ff: [ff.promotions, ff.demotions, ff.fast_forwarded_iterations],
-        delta_attached: delta.is_some(),
-        delta: delta
-            .map(|d| {
-                [
-                    d.calls_delta,
-                    d.calls_full,
-                    d.nodes_reused,
-                    d.nodes_recomputed,
-                    d.nodes_settled,
-                    d.frontier_collapses,
-                ]
-            })
-            .unwrap_or_default(),
+        delta_attached: false,
         batched,
         lanes_in_batch,
     }

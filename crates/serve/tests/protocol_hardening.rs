@@ -97,7 +97,6 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                     engine: [id, 1, 2, 3, 4],
                     ff: [5, 6, 7],
                     delta_attached,
-                    delta: [8, 9, 10, 11, 12, 13],
                     batched,
                     lanes_in_batch,
                 })

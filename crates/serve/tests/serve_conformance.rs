@@ -1,13 +1,12 @@
 //! Daemon conformance: every response must be bitwise identical to a
 //! fresh scalar [`Engine`](evolve_core::Engine) evaluation of the same
-//! request, whichever serving path answered it — affinity-batched,
-//! ejected-to-scalar, or delta-chained.
+//! request, whichever serving path answered it — affinity-batched or
+//! ejected-to-scalar.
 //!
-//! The reference runs with fast-forward *off* and no delta chain, so the
-//! comparison also re-pins (end-to-end, through the wire) the engine
-//! invariants the core conformance suites establish: fast-forward,
-//! lockstep batching, and delta attachment are observationally
-//! invisible.
+//! The reference runs with fast-forward *off*, so the comparison also
+//! re-pins (end-to-end, through the wire) the engine invariants the core
+//! conformance suites establish: fast-forward and lockstep batching are
+//! observationally invisible.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -106,12 +105,12 @@ fn full_affinity_batch_matches_scalar_reference() {
     server.shutdown_and_join();
 }
 
-/// With batching effectively disabled (width 1), sequential same-family
-/// requests chain through the delta cache: the first captures a base,
-/// the second attaches it — and both stay bitwise identical to the
-/// reference.
+/// With batching effectively disabled (width 1), the first scalar request
+/// of a model on a fresh shard runs with fast-forward on: a periodic trace
+/// promotes and replays. A second request of the same model reuses the
+/// shard's cached engine. Both stay bitwise identical to the reference.
 #[test]
-fn delta_chained_requests_match_scalar_reference() {
+fn first_scalar_request_fast_forwards_and_reused_engine_matches_reference() {
     let config = ServeConfig {
         shards: 1,
         batch_width: 1,
@@ -120,26 +119,20 @@ fn delta_chained_requests_match_scalar_reference() {
     let server = Server::start(config, &[Bind::Tcp("127.0.0.1:0".into())], None).unwrap();
     let mut client = ServeClient::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
 
-    // Same structural family (shape + padding), different load: the
-    // second request can reuse the first's captured base cache.
-    let base_spec = pipeline(4, 100, 3, 16);
-    let sibling_spec = pipeline(4, 80, 5, 16);
-    let trace = generated(16, 0xabcd);
+    let spec = pipeline(8, 60, 1, 64);
+    let periodic = TracePayload::Offers((0..64).map(|k| (k * 300, 8)).collect());
+    let first = expect_ok(client.call(&eval(1, &spec, &periodic)).unwrap());
+    assert!(!first.batched);
+    assert!(first.ff[0] >= 1, "periodic trace should promote: ff {:?}", first.ff);
+    assert!(first.ff[2] > 0, "promoted drive should replay iterations: ff {:?}", first.ff);
 
-    let first = expect_ok(client.call(&eval(1, &base_spec, &trace)).unwrap());
-    let second = expect_ok(client.call(&eval(2, &sibling_spec, &trace)).unwrap());
-    assert!(
-        second.delta_attached,
-        "second same-family request should attach the captured base"
-    );
-    assert!(
-        second.delta.iter().any(|&v| v > 0),
-        "attached lane should report delta counters"
-    );
-    for (resp, spec) in [(&first, &base_spec), (&second, &sibling_spec)] {
-        let (outputs, acks) = reference(spec, &trace);
+    let trace = generated(16, 0xabcd);
+    let second = expect_ok(client.call(&eval(2, &spec, &trace)).unwrap());
+    for (resp, trace) in [(&first, &periodic), (&second, &trace)] {
+        let (outputs, acks) = reference(&spec, trace);
         assert_eq!(resp.outputs, outputs);
         assert_eq!(resp.input_acks, acks);
+        assert!(!resp.delta_attached);
     }
     server.shutdown_and_join();
 }
